@@ -18,7 +18,6 @@
 #include "baseline/avr_core.hh"
 #include "baseline/tinyos.hh"
 #include "core/machine.hh"
-#include "net/network.hh"
 #include "net/parallel_network.hh"
 #include "scenario/runner.hh"
 #include "sensor/sensor.hh"
@@ -174,7 +173,7 @@ BM_NodeNetworkScaling(benchmark::State &state)
             assembler::assembleSnap(apps::relayNodeProgram(n)));
     std::uint64_t events = 0;
     for (auto _ : state) {
-        net::Network net;
+        net::ParallelNetwork net;
         node::NodeConfig c;
         c.core.stopOnHalt = false;
         c.name = "n1";
@@ -188,7 +187,7 @@ BM_NodeNetworkScaling(benchmark::State &state)
         net.setLineTopology();
         net.start();
         net.runFor(200 * sim::kMillisecond);
-        events += net.kernel().eventsDispatched();
+        events += net.eventsDispatched();
     }
     state.SetItemsProcessed(static_cast<int64_t>(events));
     state.SetLabel("kernel events/s");
@@ -343,7 +342,7 @@ on_rx:
 void
 BM_FieldScaling(benchmark::State &state)
 {
-    // The spatial FieldMedium at sensor-network scale: N nodes on a
+    // The spatial field channel at sensor-network scale: N nodes on a
     // 20 m grid (default 30 m cells, ~46 m sensitivity range), every
     // 16th node beaconing every 10 ms from a seed-staggered offset.
     // Cell sharding bounds each flight's work to its neighborhood, so
@@ -495,7 +494,7 @@ BM_FourNodeAodvNetwork(benchmark::State &state)
     auto sink = assembler::assembleSnap(apps::sinkNodeProgram(4));
     std::uint64_t events = 0;
     for (auto _ : state) {
-        net::Network net;
+        net::ParallelNetwork net;
         node::NodeConfig c;
         c.core.stopOnHalt = false;
         c.name = "n1";
@@ -509,7 +508,7 @@ BM_FourNodeAodvNetwork(benchmark::State &state)
         net.setLineTopology();
         net.start();
         net.runFor(500 * sim::kMillisecond);
-        events += net.kernel().eventsDispatched();
+        events += net.eventsDispatched();
     }
     state.SetItemsProcessed(static_cast<int64_t>(events));
     state.SetLabel("kernel events/s");

@@ -1,11 +1,11 @@
 /**
  * @file
- * Sharded multi-node network harness (parallel).
+ * Multi-node network harness: the one engine behind every multi-node
+ * run, from the paper benches to the scenario runner.
  *
- * Same surface as net::Network, different engine: every node lives in
- * its own shard — a private sim::Kernel (the allocation-free hot path,
- * untouched and still single-threaded within the shard), a
- * radio::ShardMedium proxy, and the SnapNode itself. runFor() advances
+ * Every node lives in its own shard — a private sim::Kernel (the
+ * allocation-free hot path, single-threaded within the shard), its
+ * radio::Medium port, and the SnapNode itself. runFor() advances
  * all shards in conservative bounded time windows: each window, K
  * worker lanes execute disjoint subsets of shard kernels up to a
  * shared horizon, then the coordinator drains the inter-shard radio
@@ -29,9 +29,9 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "net/network.hh"
 #include "node/node.hh"
 #include "radio/air_exchange.hh"
 #include "sim/kernel.hh"
@@ -45,12 +45,74 @@ struct NodeState;
 
 namespace snaple::net {
 
+/** One sniffed on-air word. */
+struct AirWord
+{
+    sim::Tick at;
+    std::string from;
+    std::uint16_t word;
+    bool collided;
+};
+
+/**
+ * Bounded ring of the most recent AirWords. Indexing is oldest-first
+ * over the retained window; total() counts every word ever pushed.
+ * Sniffing every word of a long run into an unbounded list is pure
+ * memory growth, so the harness keeps at most the configured number
+ * of most recent words, plus a total count.
+ */
+class AirTraceRing
+{
+  public:
+    explicit AirTraceRing(std::size_t capacity = 4096)
+        : capacity_(capacity ? capacity : 1)
+    {}
+
+    void
+    push(AirWord w)
+    {
+        if (ring_.size() < capacity_) {
+            ring_.push_back(std::move(w));
+        } else {
+            ring_[head_] = std::move(w);
+            head_ = (head_ + 1) % capacity_;
+        }
+        ++total_;
+    }
+
+    /** Words currently retained (<= capacity()). */
+    std::size_t size() const { return ring_.size(); }
+    bool empty() const { return ring_.empty(); }
+    std::size_t capacity() const { return capacity_; }
+
+    /** Words ever pushed, including those the ring has dropped. */
+    std::uint64_t total() const { return total_; }
+
+    /** Words the ring overwrote (lost to the capacity bound). */
+    std::uint64_t overwrites() const { return total_ - ring_.size(); }
+
+    /** @p i = 0 is the oldest retained word. */
+    const AirWord &
+    operator[](std::size_t i) const
+    {
+        return ring_[(head_ + i) % ring_.size()];
+    }
+
+    const AirWord &back() const { return (*this)[ring_.size() - 1]; }
+
+  private:
+    std::size_t capacity_;
+    std::size_t head_ = 0; ///< index of the oldest element when full
+    std::uint64_t total_ = 0;
+    std::vector<AirWord> ring_;
+};
+
 /** A simulated network of SNAP/LE nodes, one kernel per node. */
 class ParallelNetwork
 {
   public:
     /**
-     * @param propagation air propagation delay, as for net::Network.
+     * @param propagation air propagation delay.
      * @param jobs worker lanes for runFor(); 1 = run shards inline on
      *        the calling thread (the reference semantics — higher job
      *        counts reproduce it bit-exactly, just faster).
@@ -123,7 +185,7 @@ class ParallelNetwork
      * @name Spatial field mode
      *
      * setField() swaps the single-cell channel for the spatial model
-     * (radio/field_medium.hh): log-distance path loss, per-receiver
+     * (radio/field.hh): log-distance path loss, per-receiver
      * RSSI, capture-threshold collision resolution, sharded by
      * cell_m-sized grid cells so a flight's barrier work touches only
      * its cell neighborhood. Call before start(), then place every
@@ -252,9 +314,9 @@ class ParallelNetwork
 
     /**
      * Sniff the air into a bounded ring of the @p capacity most recent
-     * words (off by default, as in net::Network). Timestamps are the
-     * sequential medium's delivery instants (start + airtime +
-     * propagation), independent of window quantization.
+     * words (off by default: sniffing a long run is pure memory
+     * growth). Timestamps are the unquantized delivery instants
+     * (start + airtime + propagation), independent of the window.
      */
     void enableAirTrace(std::size_t capacity = 4096);
 
@@ -373,7 +435,7 @@ class ParallelNetwork
     /** Direct access to a shard's kernel (tests, host stimulus). */
     sim::Kernel &shardKernel(std::size_t i) { return shards_.at(i)->kernel; }
 
-    /** Direct access to a shard's medium proxy (tests, host stimulus). */
+    /** Direct access to a shard's medium port (tests, host stimulus). */
     radio::Medium &shardMedium(std::size_t i)
     {
         return shards_.at(i)->medium;
@@ -391,7 +453,7 @@ class ParallelNetwork
 
   private:
     /** One node's private simulation island. Declaration order is
-     *  construction order: kernel, then the medium proxy on it, then
+     *  construction order: kernel, then the medium port on it, then
      *  the node wired to both. */
     struct Shard
     {
@@ -401,7 +463,7 @@ class ParallelNetwork
         {}
 
         sim::Kernel kernel;
-        radio::ShardMedium medium;
+        radio::Medium medium;
         node::SnapNode node;
         std::unique_ptr<sim::TraceSink> sink;
         bool halted = false; ///< kernel stopped early; frozen since

@@ -65,8 +65,8 @@ class SnapNode
 {
   public:
     /**
-     * @param kernel shared simulation kernel.
-     * @param medium shared radio medium; may be null when
+     * @param kernel the node's simulation kernel.
+     * @param medium the node's radio channel port; may be null when
      *        cfg.attachRadio is false (bench rigs without radio).
      * @param cfg node configuration.
      * @param prog program to load into IMEM/DMEM.

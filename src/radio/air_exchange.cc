@@ -9,7 +9,7 @@
 namespace snaple::radio {
 
 void
-AirExchange::addShard(ShardMedium *m)
+AirExchange::addShard(Medium *m)
 {
     sim::fatalIf(fieldFinal_, "addShard after finalizeField");
     m->nodeId_ = static_cast<std::uint32_t>(shards_.size());
@@ -135,15 +135,21 @@ AirExchange::quiet() const
 {
     if (pendingFlights() != 0)
         return false;
-    for (const ShardMedium *m : shards_)
+    for (const Medium *m : shards_)
         if (!m->outbox_.empty())
             return false;
     return true;
 }
 
+Medium::Medium(sim::Kernel &kernel, AirExchange &exchange)
+    : kernel_(kernel)
+{
+    exchange.addShard(this);
+}
+
 void
-ShardMedium::beginTransmit(Transceiver *src, std::uint16_t word,
-                           sim::Tick airtime)
+Medium::beginTransmit(Transceiver *src, std::uint16_t word,
+                      sim::Tick airtime)
 {
     (void)src; // one node per shard; the exchange knows the id
     const sim::Tick now = kernel_.now();
@@ -159,8 +165,8 @@ ShardMedium::beginTransmit(Transceiver *src, std::uint16_t word,
 }
 
 void
-ShardMedium::runOffer(std::uint16_t word, std::uint16_t rssi,
-                      const obs::FlowTag &tag)
+Medium::runOffer(std::uint16_t word, std::uint16_t rssi,
+                 const obs::FlowTag &tag)
 {
     // Shard context: count the receiver's verdict locally; the
     // coordinator folds it into the air registry at the next
@@ -179,8 +185,8 @@ ShardMedium::runOffer(std::uint16_t word, std::uint16_t rssi,
 }
 
 void
-ShardMedium::injectDelivery(sim::Tick at, std::uint16_t word,
-                            std::uint16_t rssi, const obs::FlowTag &tag)
+Medium::injectDelivery(sim::Tick at, std::uint16_t word,
+                       std::uint16_t rssi, const obs::FlowTag &tag)
 {
     kernel_.schedule(at, [this, at, word, rssi, tag] {
         // Same-tick offers fire in schedule order, so the first
@@ -197,8 +203,8 @@ ShardMedium::injectDelivery(sim::Tick at, std::uint16_t word,
         PendingOffer{at, word, rssi, kernel_.lastScheduledSeq(), tag});
 }
 
-ShardMedium::SavedState
-ShardMedium::saveState() const
+Medium::SavedState
+Medium::saveState() const
 {
     sim::fatalIf(!outbox_.empty(),
                  "shard medium snapshot with an undrained outbox "
@@ -215,7 +221,7 @@ ShardMedium::saveState() const
 }
 
 void
-ShardMedium::restoreState(const SavedState &s)
+Medium::restoreState(const SavedState &s)
 {
     txSeq_ = s.txSeq;
     ownEnds_ = s.ownEnds;
@@ -230,7 +236,7 @@ ShardMedium::restoreState(const SavedState &s)
 }
 
 void
-ShardMedium::rearmOwnEnd(std::size_t i)
+Medium::rearmOwnEnd(std::size_t i)
 {
     const sim::Tick end = ownEnds_.at(i).end;
     kernel_.schedule(end, [this, end] {
@@ -241,7 +247,7 @@ ShardMedium::rearmOwnEnd(std::size_t i)
 }
 
 void
-ShardMedium::rearmRemoteEnd(std::size_t i)
+Medium::rearmRemoteEnd(std::size_t i)
 {
     const sim::Tick end = remoteEnds_.at(i).end;
     kernel_.schedule(end, [this, end] {
@@ -252,7 +258,7 @@ ShardMedium::rearmRemoteEnd(std::size_t i)
 }
 
 void
-ShardMedium::rearmOffer(std::size_t i)
+Medium::rearmOffer(std::size_t i)
 {
     const PendingOffer o = offers_.at(i);
     kernel_.schedule(o.at, [this, at = o.at, word = o.word,
@@ -298,8 +304,8 @@ AirExchange::restoreState(const SavedState &s)
 void
 AirExchange::drainOutcomes()
 {
-    for (ShardMedium *m : shards_) {
-        ShardMedium::Outcomes &o = m->outcomes_;
+    for (Medium *m : shards_) {
+        Medium::Outcomes &o = m->outcomes_;
         const std::uint64_t drained =
             o.accepted + o.dropsMode + o.dropsFifo;
         if (drained == 0)
@@ -323,11 +329,11 @@ AirExchange::drainOutboxes()
     // new start lies in (previous barrier, barrier] — after all older
     // pending flights — so the pending list stays globally sorted.
     const std::size_t firstFresh = pending_.size();
-    for (ShardMedium *m : shards_) {
+    for (Medium *m : shards_) {
         // Words from a node that has since died were truncated on the
         // air: they still occupy the channel but resolve as collided.
         const bool truncated = down_[m->nodeId_];
-        for (const ShardMedium::PendingTx &tx : m->outbox_)
+        for (const Medium::PendingTx &tx : m->outbox_)
             pending_.push_back(AirFlight{tx.start, tx.start + tx.airtime,
                                          m->nodeId_, tx.seq, tx.word,
                                          truncated, false, tx.tag});
@@ -367,16 +373,16 @@ AirExchange::exchangeSingleCell(sim::Tick barrier, std::size_t firstFresh)
         const AirFlight &f = pending_[i];
         wordsSent_->inc();
         if (f.end > barrier)
-            for (ShardMedium *m : shards_)
+            for (Medium *m : shards_)
                 if (m->nodeId_ != f.srcNode && m->local_ != nullptr &&
                     !down_[m->nodeId_])
                     m->remoteCarrierUntil(f.end);
     }
 
-    // 2. Collision marking: the sequential medium's rule — airtime
-    // intervals that overlap garble each other. Pairwise over the
-    // start-sorted list with an early break; idempotent re-marking of
-    // old pairs is harmless.
+    // 2. Collision marking: one shared channel, so airtime intervals
+    // that overlap garble each other, whoever hears them. Pairwise
+    // over the start-sorted list with an early break; idempotent
+    // re-marking of old pairs is harmless.
     for (std::size_t i = 0; i < pending_.size(); ++i)
         for (std::size_t j = i + 1; j < pending_.size() &&
                                     pending_[j].start < pending_[i].end;
@@ -387,8 +393,8 @@ AirExchange::exchangeSingleCell(sim::Tick barrier, std::size_t firstFresh)
 
     // 3. Finalize flights whose airtime has fully elapsed: every
     // transmission that could overlap one has started by now, so its
-    // collision status is final. Deliveries land at the sequential
-    // medium's instant (end + propagation) unless that already lies
+    // collision status is final. Deliveries land at the unquantized
+    // instant (end + propagation) unless that already lies
     // inside this window — then they are pushed to the barrier (the
     // documented lookahead quantization). Acceptance is counted when
     // the receiver executes the offer, not here (drainOutcomes).
@@ -406,7 +412,7 @@ AirExchange::exchangeSingleCell(sim::Tick barrier, std::size_t firstFresh)
             continue;
         }
         const sim::Tick at = std::max(f.end + propagation_, barrier);
-        for (ShardMedium *m : shards_) {
+        for (Medium *m : shards_) {
             if (m->nodeId_ == f.srcNode || m->local_ == nullptr)
                 continue;
             if (linkFilter_ && !linkFilter_(f.srcNode, m->nodeId_))
@@ -450,7 +456,7 @@ AirExchange::exchangeField(sim::Tick barrier, std::size_t firstFresh)
         for (std::uint32_t r : candScratch_) {
             if (r == f.srcNode)
                 continue;
-            ShardMedium *m = shards_[r];
+            Medium *m = shards_[r];
             if (m->local_ == nullptr || down_[r])
                 continue;
             if (rssiDbm(f.srcNode, r) >= cfg.sensitivityDbm)
@@ -485,7 +491,7 @@ AirExchange::exchangeField(sim::Tick barrier, std::size_t firstFresh)
         for (std::uint32_t r : candScratch_) {
             if (r == f.srcNode)
                 continue;
-            ShardMedium *m = shards_[r];
+            Medium *m = shards_[r];
             if (m->local_ == nullptr)
                 continue;
             if (linkFilter_ && !linkFilter_(f.srcNode, r))

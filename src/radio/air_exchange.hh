@@ -1,21 +1,21 @@
 /**
  * @file
- * The shared radio medium, split for parallel simulation.
+ * The shared radio channel: the barrier coordinator behind every
+ * node's radio::Medium port.
  *
- * The sequential radio::Medium couples every node through one object
- * on one kernel. For the sharded network harness each node's kernel
- * runs on its own timeline, so the medium is split in two:
+ * Each node's kernel runs on its own timeline (net::ParallelNetwork),
+ * so the channel is split in two:
  *
- *  - ShardMedium: a per-shard proxy implementing the Medium interface
- *    the transceiver model already speaks. beginTransmit() only
- *    records the word in a shard-local outbox (and raises the local
- *    carrier); busy() answers CSMA sense from local state.
+ *  - Medium (radio/medium.hh): the per-node port the transceiver
+ *    speaks. beginTransmit() only records the word in a node-local
+ *    outbox (and raises the local carrier); busy() answers CSMA sense
+ *    from local state.
  *  - AirExchange: the coordinator. At every conservative sync window
  *    barrier — when all shard kernels are paused at the same tick —
  *    it drains the outboxes in deterministic (start tick, source id,
- *    sequence) order, resolves collisions with the same airtime-
- *    overlap rule as the sequential medium, and injects carrier and
- *    delivery events into the destination shards' kernels.
+ *    sequence) order, resolves collisions (airtime intervals that
+ *    overlap garble each other), and injects carrier and delivery
+ *    events into the destination shards' kernels.
  *
  * The lookahead contract this implements (docs/SIMULATOR.md has the
  * derivation):
@@ -29,7 +29,7 @@
  * is what makes per-node traces bit-identical for any --jobs=K.
  *
  * Field mode (setField + per-node positions) swaps the single-cell
- * channel rules for radio::FieldMedium's spatial ones — log-distance
+ * channel rules for the spatial ones of radio/field.hh — log-distance
  * path loss, per-receiver RSSI, capture-threshold resolution — and
  * shards the air by spatial cells: each node is binned into a
  * cell_m-sized grid cell, and a flight's carrier, delivery and
@@ -47,7 +47,7 @@
  * into the "air.*" registry at the next barrier. Offers not yet
  * resolved are visible as pendingDeliveries().
  *
- * Thread safety: ShardMedium members are touched only by the thread
+ * Thread safety: Medium members are touched only by the thread
  * currently running that shard's kernel; AirExchange methods run only
  * on the coordinator between windows, while every shard kernel is
  * paused. The WorkerPool handoff provides the happens-before edges.
@@ -64,14 +64,13 @@
 #include <utility>
 #include <vector>
 
-#include "radio/field_medium.hh"
+#include "radio/field.hh"
 #include "radio/medium.hh"
 #include "sim/kernel.hh"
+#include "sim/metrics.hh"
 #include "sim/ticks.hh"
 
 namespace snaple::radio {
-
-class ShardMedium;
 
 /** One on-air word, as the exchange resolves it. */
 struct AirFlight
@@ -100,8 +99,8 @@ class AirExchange
         std::function<bool(std::size_t src, std::size_t dst)>;
 
     /** Observer of every resolved flight (air tracing). @p deliverAt
-     *  is start + airtime + propagation, the sequential medium's
-     *  delivery instant. */
+     *  is start + airtime + propagation, the unquantized delivery
+     *  instant. */
     using Sniffer =
         std::function<void(const AirFlight &f, sim::Tick deliverAt)>;
 
@@ -121,7 +120,7 @@ class AirExchange
     AirExchange &operator=(const AirExchange &) = delete;
 
     /** Register a shard; call order defines node ids. */
-    void addShard(ShardMedium *m);
+    void addShard(Medium *m);
 
     void setLinkFilter(LinkFilter f) { linkFilter_ = std::move(f); }
     void setSniffer(Sniffer s) { sniffer_ = std::move(s); }
@@ -130,7 +129,7 @@ class AirExchange
      * @name Spatial field mode
      *
      * setField() switches the channel rules to the spatial model
-     * (radio/field_medium.hh); every node then needs a setPosition()
+     * (radio/field.hh); every node then needs a setPosition()
      * call, and finalizeField() — after the last addShard — bins the
      * nodes into cell_m-sized grid cells. All three are
      * coordinator-side setup calls, before the first exchange.
@@ -305,7 +304,7 @@ class AirExchange
                          std::vector<std::uint32_t> &out) const;
 
     sim::Tick propagation_;
-    std::vector<ShardMedium *> shards_;
+    std::vector<Medium *> shards_;
     std::vector<AirFlight> pending_; ///< sorted by (start, src, seq)
     std::vector<bool> down_;         ///< per-node dead flag (faults)
     /** Links taken down by fault injection, as (lo, hi) node pairs. */
@@ -348,189 +347,6 @@ class AirExchange
              std::vector<std::size_t>>
         flightCells_;
     mutable std::vector<std::size_t> interfScratch_;
-};
-
-/**
- * Per-shard stand-in for the shared medium. Implements the virtual
- * Medium interface the Transceiver uses; everything cross-shard goes
- * through the AirExchange at window barriers.
- */
-class ShardMedium : public Medium
-{
-  public:
-    ShardMedium(sim::Kernel &kernel, AirExchange &exchange)
-        : Medium(kernel, exchange.propagation()), kernel_(kernel),
-          exchange_(exchange)
-    {
-        exchange.addShard(this);
-    }
-
-    /** The shard's transceiver (one node per shard). */
-    void
-    attach(Transceiver *t) override
-    {
-        sim::panicIf(local_ != nullptr && local_ != t,
-                     "shard medium already has a transceiver");
-        local_ = t;
-    }
-
-    /**
-     * CSMA sense: own transmission, or a remote carrier learned at a
-     * window barrier. A remote word that started mid-window is sensed
-     * only from the barrier on — the documented lookahead contract.
-     * In field mode the exchange raises the remote carrier only in
-     * shards within sensing range, so this stays a local test.
-     */
-    bool
-    busy() const override
-    {
-        return ownActive_ > 0 || remoteCarrier_ > 0;
-    }
-
-    /** Out of line: reads the transceiver's side-band flow tag, and
-     *  Transceiver is incomplete here. */
-    void beginTransmit(Transceiver *src, std::uint16_t word,
-                       sim::Tick airtime) override;
-
-    /** @name Snapshot support (src/snapshot/)
-     * Every kernel event this medium schedules — own-carrier ends,
-     * remote-carrier ends, delivery offers — is mirrored with the
-     * kernel sequence number it got at schedule time. A checkpoint
-     * serializes the mirrors; restore re-arms them in ascending saved
-     * seq across the whole node, reproducing same-tick dispatch order
-     * (docs/CHECKPOINT.md). Mirror entries are erased when their
-     * event fires, so the mirrors always equal the pending events. */
-    ///@{
-    struct CarrierEnd
-    {
-        sim::Tick end = 0;
-        std::uint64_t seq = 0;
-    };
-    struct PendingOffer
-    {
-        sim::Tick at = 0;
-        std::uint16_t word = 0;
-        std::uint16_t rssi = 0;
-        std::uint64_t seq = 0;
-        obs::FlowTag tag; ///< re-delivered with the word on restore
-    };
-    struct SavedState
-    {
-        std::uint32_t txSeq = 0;
-        std::vector<CarrierEnd> ownEnds;
-        std::vector<CarrierEnd> remoteEnds;
-        std::vector<PendingOffer> offers;
-    };
-
-    /** Kernel events this medium owns right now (checkpoint
-     *  eligibility accounting). */
-    std::size_t
-    pendingKernelEvents() const
-    {
-        return ownEnds_.size() + remoteEnds_.size() + offers_.size();
-    }
-
-    /** Serialize; fatal if the outbox or outcome counters are not
-     *  empty (the barrier's exchange must have run). */
-    SavedState saveState() const;
-    /** Poke mirrors back; carrier counts are the mirror sizes. */
-    void restoreState(const SavedState &s);
-
-    /** Re-schedule one mirrored event, refreshing its stored seq
-     *  (restore re-arm phase, ascending saved-seq order). */
-    void rearmOwnEnd(std::size_t i);
-    void rearmRemoteEnd(std::size_t i);
-    void rearmOffer(std::size_t i);
-
-    const std::vector<CarrierEnd> &ownEnds() const { return ownEnds_; }
-    const std::vector<CarrierEnd> &remoteEnds() const
-    {
-        return remoteEnds_;
-    }
-    const std::vector<PendingOffer> &offers() const { return offers_; }
-    ///@}
-
-    /** Global air statistics, shared through the exchange. */
-    Stats stats() const override { return exchange_.stats(); }
-
-    const sim::MetricsRegistry &
-    metrics() const override
-    {
-        return exchange_.metrics();
-    }
-
-  private:
-    friend class AirExchange;
-
-    struct PendingTx
-    {
-        sim::Tick start;
-        sim::Tick airtime;
-        std::uint16_t word;
-        std::uint32_t seq;
-        obs::FlowTag tag; ///< side-band flow metadata (src/obs/flow.hh)
-    };
-
-    /** Delivery outcomes counted by the shard (its thread), drained
-     *  by the coordinator at barriers. Plain integers: the two sides
-     *  are ordered by the worker-pool barrier handoff. */
-    struct Outcomes
-    {
-        std::uint64_t accepted = 0;
-        std::uint64_t dropsMode = 0;
-        std::uint64_t dropsFifo = 0;
-    };
-
-    /** Barrier-time injection: a remote carrier busy until @p end. */
-    void
-    remoteCarrierUntil(sim::Tick end)
-    {
-        ++remoteCarrier_;
-        kernel_.schedule(end, [this, end] {
-            dropEnd(remoteEnds_, end);
-            --remoteCarrier_;
-        });
-        remoteEnds_.push_back(
-            CarrierEnd{end, kernel_.lastScheduledSeq()});
-    }
-
-    /** Barrier-time injection: a word arriving at @p at with
-     *  receiver-side signal strength @p rssi (0 = unknown) and its
-     *  side-band flow tag. */
-    void injectDelivery(sim::Tick at, std::uint16_t word,
-                        std::uint16_t rssi, const obs::FlowTag &tag);
-
-    /** Erase the mirror of a carrier-end event as it fires. Same-tick
-     *  events fire in schedule order, so the first matching entry is
-     *  the firing one. */
-    static void
-    dropEnd(std::vector<CarrierEnd> &v, sim::Tick end)
-    {
-        for (auto it = v.begin(); it != v.end(); ++it)
-            if (it->end == end) {
-                v.erase(it);
-                return;
-            }
-        sim::panic("carrier-end event with no mirror entry");
-    }
-
-    /** The delivery callback body, shared by the live and re-armed
-     *  paths. */
-    void runOffer(std::uint16_t word, std::uint16_t rssi,
-                  const obs::FlowTag &tag);
-
-    sim::Kernel &kernel_;
-    AirExchange &exchange_;
-    Transceiver *local_ = nullptr;
-    std::uint32_t nodeId_ = 0; ///< assigned by AirExchange::addShard
-    std::uint32_t txSeq_ = 0;
-    unsigned ownActive_ = 0;
-    unsigned remoteCarrier_ = 0;
-    std::vector<PendingTx> outbox_;
-    Outcomes outcomes_;
-    std::vector<CarrierEnd> ownEnds_;
-    std::vector<CarrierEnd> remoteEnds_;
-    std::vector<PendingOffer> offers_;
 };
 
 } // namespace snaple::radio

@@ -157,9 +157,9 @@ class Transceiver : public coproc::RadioPort
 
     sim::Fifo<std::uint16_t> &rxWords() override { return rxFifo_; }
 
-    /** CSMA sense, from this receiver's position when the medium is
-     *  spatial (out-of-range transmissions are inaudible). */
-    bool channelBusy() const override { return medium_.busyFor(this); }
+    /** CSMA sense at this node (in field mode, out-of-range
+     *  transmissions are inaudible). */
+    bool channelBusy() const override { return medium_.busy(); }
 
     /** RSSI of the last accepted word (io_ports.hh: the half-dB
      *  encoding); 0 until a word arrives on a signal-strength-aware

@@ -421,6 +421,9 @@ parseScenario(const std::string &text, const std::string &origin)
             sc.name = t[1];
         } else if (d == "nodes") {
             sc.nodes = parseU64(c, t[1], "node count");
+            if (sc.nodes > kMaxNodes)
+                c.fail("node count ", sc.nodes, " exceeds the limit of ",
+                       kMaxNodes);
             sawNodes = true;
         } else if (d == "topology") {
             sc.topology = t[1];

@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "radio/field_medium.hh" // radio::FieldConfig (field stanzas)
+#include "radio/field.hh" // radio::FieldConfig (field stanzas)
 
 namespace snaple::scenario {
 
@@ -119,6 +119,13 @@ struct Checkpoint
 
     bool operator==(const Checkpoint &) const = default;
 };
+
+/**
+ * Largest accepted `nodes` count (2^20). A bigger count is rejected at
+ * parse time: the network is built eagerly, so an absurd count would
+ * otherwise run out of time or memory instead of failing cleanly.
+ */
+inline constexpr std::size_t kMaxNodes = std::size_t{1} << 20;
 
 /** One parsed scenario. */
 struct Scenario

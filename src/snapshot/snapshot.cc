@@ -198,7 +198,7 @@ getCore(Reader &r)
 }
 
 void
-putMedium(Writer &w, const radio::ShardMedium::SavedState &m)
+putMedium(Writer &w, const radio::Medium::SavedState &m)
 {
     w.u32(m.txSeq);
     w.u64(m.ownEnds.size());
@@ -221,15 +221,15 @@ putMedium(Writer &w, const radio::ShardMedium::SavedState &m)
     }
 }
 
-radio::ShardMedium::SavedState
+radio::Medium::SavedState
 getMedium(Reader &r)
 {
-    radio::ShardMedium::SavedState m;
+    radio::Medium::SavedState m;
     m.txSeq = r.u32();
     std::uint64_t n = r.count(16);
     m.ownEnds.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-        radio::ShardMedium::CarrierEnd e;
+        radio::Medium::CarrierEnd e;
         e.end = r.u64();
         e.seq = r.u64();
         m.ownEnds.push_back(e);
@@ -237,7 +237,7 @@ getMedium(Reader &r)
     n = r.count(16);
     m.remoteEnds.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-        radio::ShardMedium::CarrierEnd e;
+        radio::Medium::CarrierEnd e;
         e.end = r.u64();
         e.seq = r.u64();
         m.remoteEnds.push_back(e);
@@ -245,7 +245,7 @@ getMedium(Reader &r)
     n = r.count(20);
     m.offers.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
-        radio::ShardMedium::PendingOffer o;
+        radio::Medium::PendingOffer o;
         o.at = r.u64();
         o.word = r.u16();
         o.rssi = r.u16();

@@ -98,7 +98,7 @@ struct NodeState
     std::uint16_t radioLastRssi = 0;
     sim::Tick radioListenAccruedTo = 0;
     FifoState radioRx;
-    radio::ShardMedium::SavedState medium;
+    radio::Medium::SavedState medium;
 
     std::array<double, energy::kNumCats> ledgerPj{};
     sim::Tick leakAccruedTo = 0;

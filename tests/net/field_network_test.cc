@@ -21,7 +21,7 @@
 #include "energy/ledger.hh"
 #include "net/parallel_network.hh"
 #include "node/node.hh"
-#include "radio/field_medium.hh"
+#include "radio/field.hh"
 #include "radio/transceiver.hh"
 #include "sim/ticks.hh"
 

@@ -229,9 +229,9 @@ TEST(ParallelNetworkTest, OverlappingCrossShardTransmissionsCollide)
     net.start();
 
     // Overlapping airtimes [10, 30) and [20, 40): both words garbled,
-    // neither delivered — exactly the sequential medium's rule, even
-    // though the transmitters live in different shards and cannot
-    // sense each other mid-window.
+    // neither delivered — overlap alone decides, even though the
+    // transmitters live in different shards and cannot sense each
+    // other mid-window.
     net.shardKernel(0).schedule(10 * sim::kMicrosecond, [&net] {
         net.shardMedium(0).beginTransmit(net.node(0).transceiver(),
                                          0xA0A0,

@@ -1,119 +1,109 @@
 /**
  * @file
- * Link-filter / topology tests for the radio medium and the carrier
- * sense surface used by the guest MAC.
+ * Link-filter / topology tests for the single-cell channel, the
+ * carrier sense surface used by the guest MAC, and idle-listening
+ * energy.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/context.hh"
-#include "radio/medium.hh"
-#include "radio/transceiver.hh"
+#include "air_rig.hh"
 
 namespace {
 
 using namespace snaple;
 using coproc::RadioMode;
-using radio::Medium;
-using radio::Transceiver;
-
-sim::Co<void>
-txOne(Transceiver &t, std::uint16_t w)
-{
-    sim::Tick end = t.transmitStart(w);
-    co_await t.kernel().delay(end - t.kernel().now());
-}
+using test::AirRig;
+using Guest = AirRig::Guest;
 
 TEST(TopologyTest, LinkFilterRestrictsDelivery)
 {
-    sim::Kernel k;
-    core::NodeContext ca(k), cb(k), cc(k);
-    Medium medium(k);
-    Transceiver a(ca, medium), b(cb, medium), c(cc, medium);
-    b.setMode(RadioMode::Rx);
-    c.setMode(RadioMode::Rx);
+    AirRig r;
+    const std::size_t a = r.add();
+    const std::size_t b = r.add(Guest::Listener);
+    const std::size_t c = r.add(Guest::Listener);
     // Only a -> b is connected.
-    medium.setLinkFilter([&](const Transceiver *src,
-                             const Transceiver *dst) {
-        return src == &a && dst == &b;
+    r.net.setLinkFilter([&](std::size_t src, std::size_t dst) {
+        return src == a && dst == b;
     });
-    k.spawn(txOne(a, 0x1234));
-    k.runFor(5 * sim::kMillisecond);
-    EXPECT_EQ(b.rxWords().size(), 1u);
-    EXPECT_EQ(c.rxWords().size(), 0u);
+    r.send(a, {0x1234});
+    r.run(5 * sim::kMillisecond);
+    EXPECT_EQ(r.heard(b), (std::vector<std::uint16_t>{0x1234}));
+    EXPECT_TRUE(r.heard(c).empty());
     // The filter gates delivery, not the energy of listening... the
     // out-of-range node never saw the word at all.
-    EXPECT_EQ(c.stats().rxWords, 0u);
+    EXPECT_EQ(r.radio(c).stats().rxWords, 0u);
 }
 
 TEST(TopologyTest, CollisionsAreGlobalEvenWithTopology)
 {
     // One shared channel: two transmissions overlap in time and
     // garble each other even if their receivers don't overlap.
-    sim::Kernel k;
-    core::NodeContext ca(k), cb(k), cc(k), cd(k);
-    Medium medium(k);
-    Transceiver a(ca, medium), b(cb, medium), c(cc, medium),
-        d(cd, medium);
-    b.setMode(RadioMode::Rx);
-    d.setMode(RadioMode::Rx);
-    medium.setLinkFilter([&](const Transceiver *src,
-                             const Transceiver *dst) {
-        return (src == &a && dst == &b) || (src == &c && dst == &d);
+    AirRig r;
+    const std::size_t a = r.add();
+    const std::size_t b = r.add(Guest::Listener);
+    const std::size_t c = r.add();
+    const std::size_t d = r.add(Guest::Listener);
+    r.net.setLinkFilter([&](std::size_t src, std::size_t dst) {
+        return (src == a && dst == b) || (src == c && dst == d);
     });
-    k.spawn(txOne(a, 1));
-    k.spawn(txOne(c, 2));
-    k.runFor(5 * sim::kMillisecond);
-    EXPECT_EQ(medium.stats().collisions, 2u);
-    EXPECT_EQ(b.rxWords().size(), 0u);
-    EXPECT_EQ(d.rxWords().size(), 0u);
+    r.send(a, {1});
+    r.send(c, {2});
+    r.run(5 * sim::kMillisecond);
+    EXPECT_EQ(r.net.stats().collisions, 2u);
+    EXPECT_TRUE(r.heard(b).empty());
+    EXPECT_TRUE(r.heard(d).empty());
 }
 
 TEST(TopologyTest, CarrierSenseReflectsAirState)
 {
-    sim::Kernel k;
-    core::NodeContext ca(k), cb(k);
-    Medium medium(k);
-    Transceiver a(ca, medium), b(cb, medium);
-    EXPECT_FALSE(b.channelBusy());
-    k.spawn(txOne(a, 7));
-    k.runFor(100 * sim::kMicrosecond);
-    EXPECT_TRUE(b.channelBusy());
-    EXPECT_TRUE(a.channelBusy()); // own transmission counts too
-    k.runFor(2 * sim::kMillisecond);
-    EXPECT_FALSE(b.channelBusy());
+    // Another node's carrier is sensed from the first window barrier
+    // after the word starts (the lookahead contract), so a window
+    // shorter than the 100 us probe makes it visible there.
+    AirRig r;
+    const std::size_t a = r.add();
+    const std::size_t b = r.add();
+    r.net.setWindow(50 * sim::kMicrosecond);
+    r.ensureStarted();
+    EXPECT_FALSE(r.radio(b).channelBusy());
+    r.send(a, {7});
+    r.run(100 * sim::kMicrosecond);
+    EXPECT_TRUE(r.radio(b).channelBusy());
+    EXPECT_TRUE(r.radio(a).channelBusy()); // own transmission counts too
+    r.run(2 * sim::kMillisecond);
+    EXPECT_FALSE(r.radio(b).channelBusy());
 }
 
 TEST(ListenEnergyTest, RxModeAccruesIdleListeningPower)
 {
-    sim::Kernel k;
-    core::NodeContext ctx(k);
-    Medium medium(k);
-    Transceiver t(ctx, medium);
+    AirRig r;
+    const std::size_t n = r.add();
+    radio::Transceiver &t = r.radio(n);
+    const energy::EnergyLedger &ledger = r.net.node(n).ctx().ledger;
     // One second in Rx mode at 11.4 mW = 11.4 mJ = 1.14e10 pJ.
     t.setMode(RadioMode::Rx);
-    k.runFor(sim::kSecond);
+    r.run(sim::kSecond);
     t.accrueListenEnergy();
-    EXPECT_NEAR(ctx.ledger.pj(energy::Cat::Radio), 11.4e9, 1e7);
+    EXPECT_NEAR(ledger.pj(energy::Cat::Radio), 11.4e9, 1e7);
     // Idle mode accrues nothing further.
     t.setMode(RadioMode::Idle);
-    k.runFor(sim::kSecond);
+    r.run(sim::kSecond);
     t.accrueListenEnergy();
-    EXPECT_NEAR(ctx.ledger.pj(energy::Cat::Radio), 11.4e9, 1e7);
+    EXPECT_NEAR(ledger.pj(energy::Cat::Radio), 11.4e9, 1e7);
 }
 
 TEST(ListenEnergyTest, SelfPoweredRadioListensForFree)
 {
-    sim::Kernel k;
-    core::NodeContext ctx(k);
-    Medium medium(k);
-    radio::RadioConfig cfg;
-    cfg.selfPowered = true;
-    Transceiver t(ctx, medium, cfg);
-    t.setMode(RadioMode::Rx);
-    k.runFor(sim::kSecond);
-    t.accrueListenEnergy();
-    EXPECT_DOUBLE_EQ(ctx.ledger.pj(energy::Cat::Radio), 0.0);
+    AirRig r;
+    node::NodeConfig c;
+    c.core.stopOnHalt = false;
+    c.radio.selfPowered = true;
+    node::SnapNode &n =
+        r.net.addNode(c, assembler::assembleSnap(test::kIdleGuest));
+    n.transceiver()->setMode(RadioMode::Rx);
+    r.run(sim::kSecond);
+    n.transceiver()->accrueListenEnergy();
+    EXPECT_DOUBLE_EQ(n.ctx().ledger.pj(energy::Cat::Radio), 0.0);
 }
 
 } // namespace

@@ -143,6 +143,17 @@ TEST(ScenarioParser, RejectsWithLineNumbers)
     expectRejects(ok + "fault melt 0 at_ms 1\n", "bad.scn:4");
     expectRejects(ok + "fault kill 0 at 1\n", "bad.scn:4");
     expectRejects(ok + "duration_ms -5\n", "bad.scn:4");
+    // Node counts are bounded (2^20): a huge count fails at parse time
+    // with its location instead of building a network that never ends.
+    expectRejects("duration_ms 5\nnode * program p.s\nnodes 4000000000\n",
+                  "bad.scn:3");
+    expectRejects("nodes 1048577\nduration_ms 5\nnode * program p.s\n",
+                  "exceeds the limit of 1048576");
+    EXPECT_EQ(parseScenario("nodes 1048576\nduration_ms 5\n"
+                            "node * program p.s\n",
+                            "max.scn")
+                  .nodes,
+              std::size_t{1} << 20);
 }
 
 TEST(ScenarioParser, RejectsInvalidWholes)

@@ -13,11 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "apps/apps.hh"
 #include "asm/snap_backend.hh"
 #include "core/machine.hh"
-#include "net/network.hh"
+#include "net/parallel_network.hh"
 #include "sim/trace.hh"
 
 namespace {
@@ -48,18 +49,24 @@ runBlink(double volts)
     return {sink.hash(), sink.eventCount(), m.core().stats().instructions};
 }
 
+/** Per-node trace hashes and event counts of one network run. */
+struct NetTraceResult
+{
+    std::vector<std::uint64_t> hashes;
+    std::vector<std::uint64_t> events;
+};
+
 /**
  * A two-node MAC/AODV exchange. The guest programs seed their LFSRs
  * with the node address during boot, so to control the CSMA backoff
  * stream we let boot finish (1 ms; the first TX is timer-scheduled at
  * 5 ms) and then overwrite both LFSRs from the host seed.
  */
-TraceResult
+NetTraceResult
 runMacExchange(std::uint16_t seed)
 {
-    net::Network net;
-    sim::TraceSink sink(/*record=*/false);
-    net.kernel().setTracer(&sink);
+    net::ParallelNetwork net;
+    net.enableTracing(/*record=*/false); // one hash-only sink per node
 
     node::NodeConfig ca, cb;
     ca.name = "a";
@@ -77,10 +84,14 @@ runMacExchange(std::uint16_t seed)
 
     EXPECT_EQ(rcv.dmem().peek(apps::layout::kStDeliv), 1u)
         << "MAC exchange did not complete with seed " << seed;
-    // SnapNode::traceHash surfaces the shared kernel sink's hash.
-    EXPECT_EQ(snd.traceHash(), sink.hash());
-    EXPECT_EQ(rcv.traceHash(), sink.hash());
-    return {sink.hash(), sink.eventCount(), 0};
+    NetTraceResult r;
+    for (std::size_t i = 0; i < net.size(); ++i) {
+        // SnapNode::traceHash surfaces the node's own sink.
+        EXPECT_EQ(net.node(i).traceHash(), net.nodeTraceHash(i));
+        r.hashes.push_back(net.nodeTraceHash(i));
+        r.events.push_back(net.nodeTracer(i)->eventCount());
+    }
+    return r;
 }
 
 #ifdef SNAPLE_TRACE_DISABLED
@@ -114,10 +125,11 @@ TEST(DeterminismTest, BlinkTraceHashSeesTimingChanges)
 TEST(DeterminismTest, MacTraceHashIsReproducibleForEqualSeeds)
 {
     SKIP_WITHOUT_TRACING();
-    TraceResult a = runMacExchange(0x1234);
-    TraceResult b = runMacExchange(0x1234);
-    EXPECT_GT(a.events, 0u);
-    EXPECT_EQ(a.hash, b.hash);
+    NetTraceResult a = runMacExchange(0x1234);
+    NetTraceResult b = runMacExchange(0x1234);
+    for (std::uint64_t e : a.events)
+        EXPECT_GT(e, 0u);
+    EXPECT_EQ(a.hashes, b.hashes);
     EXPECT_EQ(a.events, b.events);
 }
 
@@ -125,10 +137,11 @@ TEST(DeterminismTest, MacTraceHashDivergesAcrossSeeds)
 {
     SKIP_WITHOUT_TRACING();
     // Different seeds change the guests' CSMA backoff draws, which
-    // move every subsequent timer and radio event.
-    TraceResult a = runMacExchange(0x1234);
-    TraceResult b = runMacExchange(0x9abc);
-    EXPECT_NE(a.hash, b.hash);
+    // move every subsequent timer and radio event — in both nodes.
+    NetTraceResult a = runMacExchange(0x1234);
+    NetTraceResult b = runMacExchange(0x9abc);
+    for (std::size_t i = 0; i < a.hashes.size(); ++i)
+        EXPECT_NE(a.hashes[i], b.hashes[i]) << "node " << i;
 }
 
 } // namespace
