@@ -84,15 +84,13 @@ ParallelNetwork::enableTracing(bool record)
 }
 
 void
-ParallelNetwork::enableMetrics(std::ostream &out, sim::Tick interval,
-                               bool csv)
+ParallelNetwork::enableMetrics(std::ostream &out, sim::Tick interval)
 {
     sim::fatalIf(now_ != 0, "enableMetrics() after the run started");
     sim::fatalIf(interval == 0, "metrics interval must be positive");
     metricsOut_ = &out;
     metricsInterval_ = interval;
     metricsNext_ = interval;
-    metricsCsv_ = csv;
 }
 
 void
@@ -100,14 +98,10 @@ ParallelNetwork::sampleMetricsNow()
 {
     std::ostream &out = *metricsOut_;
     if (!metricsMetaWritten_) {
-        if (metricsCsv_) {
-            sim::MetricsRegistry::writeCsvHeader(out);
-        } else {
-            for (const auto &s : shards_)
-                sim::MetricsRegistry::writeMetaJsonl(
-                    out, s->node.name(), s->node.ctx().cfg.volts,
-                    metricsInterval_);
-        }
+        for (const auto &s : shards_)
+            sim::MetricsRegistry::writeMetaJsonl(
+                out, s->node.name(), s->node.ctx().cfg.volts,
+                metricsInterval_);
         metricsMetaWritten_ = true;
     }
 
@@ -116,31 +110,21 @@ ParallelNetwork::sampleMetricsNow()
     // barrier grid is jobs-invariant, so so is everything below.
     for (const auto &s : shards_) {
         s->node.sampleMetrics();
-        const sim::MetricsRegistry &r = s->node.ctx().metrics;
-        if (metricsCsv_)
-            r.writeCsv(out, now_, s->node.name());
-        else
-            r.writeJsonl(out, now_, s->node.name());
+        s->node.ctx().metrics.writeJsonl(out, now_, s->node.name());
     }
 
     // "all": the per-node registries folded in node-id order.
     aggregate_.resetValues();
     for (const auto &s : shards_)
         aggregate_.mergeFrom(s->node.ctx().metrics);
-    if (metricsCsv_)
-        aggregate_.writeCsv(out, now_, "all");
-    else
-        aggregate_.writeJsonl(out, now_, "all");
+    aggregate_.writeJsonl(out, now_, "all");
 
     // "net": the shared-channel counters plus the sniffer-ring loss
     // (words the bounded air-trace ring overwrote).
     netScratch_.resetValues();
     netScratch_.mergeFrom(exchange_.metrics());
     netScratch_.counter("air.sniff_overwrites").set(trace_.overwrites());
-    if (metricsCsv_)
-        netScratch_.writeCsv(out, now_, "net");
-    else
-        netScratch_.writeJsonl(out, now_, "net");
+    netScratch_.writeJsonl(out, now_, "net");
 
     metricsLastAt_ = now_;
 }
@@ -152,12 +136,10 @@ ParallelNetwork::finishMetrics()
         return;
     if (metricsLastAt_ != now_)
         sampleMetricsNow();
-    if (!metricsCsv_)
-        for (const auto &s : shards_)
-            for (const sim::ProfileRow &row :
-                 s->node.core().profileRows())
-                sim::MetricsRegistry::writeProfileJsonl(
-                    *metricsOut_, s->node.name(), row);
+    for (const auto &s : shards_)
+        for (const sim::ProfileRow &row : s->node.core().profileRows())
+            sim::MetricsRegistry::writeProfileJsonl(
+                *metricsOut_, s->node.name(), row);
     metricsOut_->flush();
 }
 

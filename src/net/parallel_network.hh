@@ -352,17 +352,15 @@ class ParallelNetwork
      * barriers — the first barrier at or past each cadence point — so
      * the sample instants, like every other cross-shard effect, depend
      * only on the barrier grid and the output is byte-identical for
-     * any jobs() count. @p csv selects the flat CSV form instead of
-     * JSONL. Call before the first runFor(); @p out must outlive the
-     * run.
+     * any jobs() count. Call before the first runFor(); @p out must
+     * outlive the run.
      */
-    void enableMetrics(std::ostream &out, sim::Tick interval,
-                       bool csv = false);
+    void enableMetrics(std::ostream &out, sim::Tick interval);
 
     /**
      * Emit the final sample at now() (unless one just landed there)
-     * plus, in JSONL mode, per-PC profile rows for every node whose
-     * core has profiling enabled. Call once, after the last runFor().
+     * plus per-PC profile rows for every node whose core has profiling
+     * enabled. Call once, after the last runFor().
      */
     void finishMetrics();
 
@@ -510,7 +508,6 @@ class ParallelNetwork
     sim::Tick metricsInterval_ = 0;
     sim::Tick metricsNext_ = 0;
     sim::Tick metricsLastAt_ = sim::kMaxTick; ///< last sample instant
-    bool metricsCsv_ = false;
     bool metricsMetaWritten_ = false;
     sim::MetricsRegistry aggregate_;  ///< scratch for the "all" rows
     sim::MetricsRegistry netScratch_; ///< scratch for the "net" rows

@@ -230,8 +230,7 @@ runScenario(const Scenario &sc, const RunOptions &opt)
     const sim::Tick metricsTick = msToTicks(sc.metricsMs);
     const bool metrics = opt.metricsOut && metricsTick > 0;
     if (metrics)
-        net.enableMetrics(*opt.metricsOut, metricsTick,
-                          opt.metricsCsv);
+        net.enableMetrics(*opt.metricsOut, metricsTick);
     // The causality window is tracker state — snapshot content — so
     // it is applied whether or not a span stream is attached; a run
     // with --flows and one without produce identical snapshots.

@@ -52,7 +52,6 @@ struct RunOptions
     /** Stream periodic metrics here (cadence = Scenario::metricsMs;
      *  no stream when null or the cadence is 0). */
     std::ostream *metricsOut = nullptr;
-    bool metricsCsv = false; ///< CSV instead of JSONL
 
     /**
      * Stream flow-span JSONL here (`snap-run --flows`, src/obs/

@@ -199,23 +199,27 @@ MetricsRegistry::resetValues()
     }
 }
 
-namespace {
-
-/** Minimal JSON string escaping (names are tame, but be correct). */
 void
 putJsonString(std::ostream &os, std::string_view s)
 {
+    static constexpr char kHex[] = "0123456789abcdef";
     os << '"';
     for (char c : s) {
         if (c == '"' || c == '\\')
             os << '\\' << c;
+        else if (c == '\n')
+            os << "\\n";
+        else if (c == '\t')
+            os << "\\t";
         else if (static_cast<unsigned char>(c) < 0x20)
-            os << ' ';
+            os << "\\u00" << kHex[c >> 4] << kHex[c & 0xf];
         else
             os << c;
     }
     os << '"';
 }
+
+namespace {
 
 void
 putHistFields(std::ostream &os, const MetricHistogram &h)
@@ -261,38 +265,6 @@ MetricsRegistry::writeJsonl(std::ostream &os, Tick t,
             break;
         }
         os << "}\n";
-    }
-}
-
-void
-MetricsRegistry::writeCsvHeader(std::ostream &os)
-{
-    os << "t,node,name,type,value,count,sum,min,max,p50,p99\n";
-}
-
-void
-MetricsRegistry::writeCsv(std::ostream &os, Tick t,
-                          std::string_view node) const
-{
-    for (const auto &[name, ins] : metrics_) {
-        os << t << ',' << node << ',' << name << ',';
-        switch (ins.kind) {
-          case Kind::Counter:
-            os << "counter," << ins.counter.value() << ",,,,,,\n";
-            break;
-          case Kind::Gauge:
-            os << "gauge," << formatDouble(ins.gauge.value())
-               << ",,,,,,\n";
-            break;
-          case Kind::Histogram: {
-            const MetricHistogram &h = ins.hist;
-            os << "hist,," << h.count() << ',' << h.sum() << ','
-               << h.min() << ',' << h.max() << ','
-               << formatDouble(h.percentile(50)) << ','
-               << formatDouble(h.percentile(99)) << "\n";
-            break;
-          }
-        }
     }
 }
 

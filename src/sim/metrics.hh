@@ -2,7 +2,7 @@
  * @file
  * Node-scoped metrics registry: counters, gauges and deterministic
  * log2-bucketed histograms, sampled on a simulated-time cadence into
- * JSONL or CSV snapshots.
+ * JSONL snapshots.
  *
  * The registry is the reporting layer every experiment goes through
  * (ROADMAP: paper-style tables come from snap-report over a metrics
@@ -271,12 +271,6 @@ class MetricsRegistry
     void writeJsonl(std::ostream &os, Tick t,
                     std::string_view node) const;
 
-    /** One CSV row per instrument, in name order (lossy: histograms
-     *  reduce to count/sum/min/max/p50/p99). */
-    void writeCsv(std::ostream &os, Tick t, std::string_view node) const;
-
-    static void writeCsvHeader(std::ostream &os);
-
     /** The run-description meta line heading a node's JSONL stream. */
     static void writeMetaJsonl(std::ostream &os, std::string_view node,
                                double volts, Tick interval);
@@ -347,6 +341,13 @@ class MetricsRegistry
  * wherever the same values were computed.
  */
 std::string formatDouble(double v);
+
+/**
+ * Write @p s as a quoted JSON string, the one escaper behind every
+ * stream and trace export: `"`, `\`, newline and tab get backslash
+ * escapes, other control bytes `\u00XX`; UTF-8 passes through.
+ */
+void putJsonString(std::ostream &os, std::string_view s);
 
 } // namespace snaple::sim
 

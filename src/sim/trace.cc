@@ -46,31 +46,6 @@ doubleBits(double d)
     return u;
 }
 
-/** Escape a string for a JSON literal. */
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /** VCD identifier for var index @p n: base-62 over [a-zA-Z0-9]. */
 std::string
 vcdId(std::size_t n)
@@ -204,33 +179,23 @@ TraceSink::emit(Tick ts, std::uint16_t scope_id, TraceEvent type,
 void
 TraceSink::writeChromeJson(std::ostream &os) const
 {
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    auto sep = [&] {
-        if (!first)
-            os << ",\n";
-        first = false;
-    };
-
+    ChromeTraceWriter out(os);
     // Name each scope's "thread" so Perfetto shows component names.
-    for (std::size_t i = 0; i < scopeNames_.size(); ++i) {
-        sep();
-        os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-           << "\"tid\":" << i << ",\"args\":{\"name\":\""
-           << jsonEscape(scopeNames_[i]) << "\"}}";
-    }
+    for (std::size_t i = 0; i < scopeNames_.size(); ++i)
+        out.threadName(i, scopeNames_[i]);
 
     // Energy debits become cumulative counter tracks (ph "C"); every
     // other event is an instant (ph "i") on its scope's thread.
     std::map<std::uint16_t, double> energy;
     for (const TraceRecord &r : records_) {
         const double ts_us = toUs(r.ts);
-        sep();
+        out.event();
         if (r.type == TraceEvent::EnergyDebit) {
             double &cum = energy[r.scope];
             cum += r.f;
-            os << "{\"name\":\"" << jsonEscape(scopeNames_[r.scope])
-               << "\",\"cat\":\"energy\",\"ph\":\"C\",\"ts\":" << ts_us
+            os << "{\"name\":";
+            putJsonString(os, scopeNames_[r.scope]);
+            os << ",\"cat\":\"energy\",\"ph\":\"C\",\"ts\":" << ts_us
                << ",\"pid\":0,\"tid\":" << r.scope
                << ",\"args\":{\"pJ\":" << cum << "}}";
         } else {
@@ -241,7 +206,7 @@ TraceSink::writeChromeJson(std::ostream &os) const
                << "\"a0\":" << r.a0 << ",\"a1\":" << r.a1 << "}}";
         }
     }
-    os << "],\"displayTimeUnit\":\"ns\"}\n";
+    out.finish();
 }
 
 void

@@ -25,13 +25,14 @@
 #define SNAPLE_SIM_TRACE_HH
 
 #include <cstdint>
-#include <iosfwd>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "kernel.hh"
+#include "metrics.hh"
 #include "ticks.hh"
 
 namespace snaple::sim {
@@ -90,6 +91,49 @@ struct TraceRecord
     double f;
     std::uint16_t scope;
     TraceEvent type;
+};
+
+/**
+ * The one Chrome trace_event writer (TraceSink::writeChromeJson and
+ * snap-trace --chrome). It owns the file framing, the separators and
+ * the "thread_name" metadata naming each track; callers write one
+ * event object after each event().
+ */
+class ChromeTraceWriter
+{
+  public:
+    /** Opens the top-level object and its "traceEvents" array. */
+    explicit ChromeTraceWriter(std::ostream &os) : os_(os)
+    {
+        os_ << "{\"traceEvents\":[";
+    }
+
+    /** Name track @p tid (pid 0) @p name. */
+    void
+    threadName(std::uint64_t tid, std::string_view name)
+    {
+        event() << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
+                << "\"tid\":" << tid << ",\"args\":{\"name\":";
+        putJsonString(os_, name);
+        os_ << "}}";
+    }
+
+    /** Start the next event; the caller writes one JSON object. */
+    std::ostream &
+    event()
+    {
+        if (!first_)
+            os_ << ",\n";
+        first_ = false;
+        return os_;
+    }
+
+    /** Close the array and the top-level object. */
+    void finish() { os_ << "],\"displayTimeUnit\":\"ns\"}\n"; }
+
+  private:
+    std::ostream &os_;
+    bool first_ = true;
 };
 
 /**

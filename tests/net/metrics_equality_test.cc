@@ -66,7 +66,7 @@ on_rx:
 
 /** Run 4 beacon nodes for 40 ms and return the metrics stream. */
 std::string
-runMetrics(unsigned jobs, bool csv)
+runMetrics(unsigned jobs)
 {
     net::ParallelNetwork net(1 * sim::kMicrosecond, jobs);
     assembler::Program prog = assembler::assembleSnap(kBeaconProgram);
@@ -82,7 +82,7 @@ runMetrics(unsigned jobs, bool csv)
     }
     net.enableAirTrace(/*capacity=*/8); // force some ring overwrites
     std::ostringstream out;
-    net.enableMetrics(out, 10 * sim::kMillisecond, csv);
+    net.enableMetrics(out, 10 * sim::kMillisecond);
     net.start();
     net.runFor(40 * sim::kMillisecond);
     net.finishMetrics();
@@ -91,9 +91,9 @@ runMetrics(unsigned jobs, bool csv)
 
 TEST(MetricsEqualityTest, JsonlIsByteIdenticalAcrossJobCounts)
 {
-    const std::string j1 = runMetrics(1, /*csv=*/false);
-    const std::string j2 = runMetrics(2, /*csv=*/false);
-    const std::string j4 = runMetrics(4, /*csv=*/false);
+    const std::string j1 = runMetrics(1);
+    const std::string j2 = runMetrics(2);
+    const std::string j4 = runMetrics(4);
     ASSERT_FALSE(j1.empty());
     EXPECT_EQ(j1, j2);
     EXPECT_EQ(j1, j4);
@@ -106,18 +106,9 @@ TEST(MetricsEqualityTest, JsonlIsByteIdenticalAcrossJobCounts)
     EXPECT_NE(j1.find("core.evq_wait_ticks"), std::string::npos);
 }
 
-TEST(MetricsEqualityTest, CsvIsByteIdenticalAcrossJobCounts)
-{
-    const std::string c1 = runMetrics(1, /*csv=*/true);
-    const std::string c4 = runMetrics(4, /*csv=*/true);
-    ASSERT_FALSE(c1.empty());
-    EXPECT_EQ(c1, c4);
-    EXPECT_EQ(c1.rfind("t,node,name,type,value", 0), 0u);
-}
-
 TEST(MetricsEqualityTest, RepeatedSeededRunsAreByteIdentical)
 {
-    EXPECT_EQ(runMetrics(2, false), runMetrics(2, false));
+    EXPECT_EQ(runMetrics(2), runMetrics(2));
 }
 
 TEST(MetricsLeakageTest, LeakageAccruesToTheFinalTickOnExit)

@@ -6,7 +6,8 @@
  *                               [--energest]
  *
  * Reads the JSONL metrics stream written by `snap-run --metrics=FILE`
- * (schema in docs/METRICS.md) and prints:
+ * (schema in docs/METRICS.md) — FILE may be `-` for stdin — through
+ * the shared stream reader (obs/jsonl.hh) and prints:
  *
  *  - a per-node run summary (instructions, handlers, duty cycle),
  *  - dynamic energy by ledger category by supply voltage, the shape of
@@ -50,7 +51,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -59,6 +59,8 @@
 #include "energy/class_cal.hh"
 #include "energy/voltage.hh"
 #include "isa/isa.hh"
+#include "obs/jsonl.hh"
+#include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/ticks.hh"
 
@@ -66,13 +68,15 @@ namespace {
 
 using namespace snaple;
 
-/** One parsed sample line; histograms keep their bucket vector. */
+/**
+ * One parsed sample line. Histograms restore into the simulator's own
+ * type, so percentiles come from its deterministic estimator.
+ */
 struct Sample
 {
     std::string type; ///< "counter" | "gauge" | "hist"
     double v = 0.0;
-    std::uint64_t count = 0, sum = 0, min = 0, max = 0;
-    std::vector<std::pair<std::size_t, std::uint64_t>> buckets;
+    sim::MetricHistogram hist;
 };
 
 struct NodeData
@@ -89,93 +93,6 @@ struct ProfileLine
     double pj = 0.0;
 };
 
-/**
- * Find `"key":` in a generated-JSON line and return the offset of the
- * value, or npos. Keys never appear inside our string values' names,
- * and the writer emits no whitespace, so plain search is exact.
- */
-std::size_t
-valueOffset(const std::string &line, const char *key)
-{
-    std::string pat = "\"" + std::string(key) + "\":";
-    std::size_t at = line.find(pat);
-    return at == std::string::npos ? std::string::npos
-                                   : at + pat.size();
-}
-
-bool
-getString(const std::string &line, const char *key, std::string &out)
-{
-    std::size_t at = valueOffset(line, key);
-    if (at == std::string::npos || at >= line.size() ||
-        line[at] != '"')
-        return false;
-    out.clear();
-    for (std::size_t i = at + 1; i < line.size(); ++i) {
-        char c = line[i];
-        if (c == '\\' && i + 1 < line.size()) {
-            out.push_back(line[++i]);
-        } else if (c == '"') {
-            return true;
-        } else {
-            out.push_back(c);
-        }
-    }
-    return false;
-}
-
-bool
-getNumber(const std::string &line, const char *key, double &out)
-{
-    std::size_t at = valueOffset(line, key);
-    if (at == std::string::npos)
-        return false;
-    char *end = nullptr;
-    out = std::strtod(line.c_str() + at, &end);
-    return end != line.c_str() + at;
-}
-
-bool
-getU64(const std::string &line, const char *key, std::uint64_t &out)
-{
-    std::size_t at = valueOffset(line, key);
-    if (at == std::string::npos)
-        return false;
-    char *end = nullptr;
-    out = std::strtoull(line.c_str() + at, &end, 10);
-    return end != line.c_str() + at;
-}
-
-/** Parse `"buckets":[[b,n],...]` (possibly empty). */
-bool
-getBuckets(const std::string &line,
-           std::vector<std::pair<std::size_t, std::uint64_t>> &out)
-{
-    std::size_t at = valueOffset(line, "buckets");
-    if (at == std::string::npos || line[at] != '[')
-        return false;
-    out.clear();
-    std::size_t i = at + 1;
-    while (i < line.size() && line[i] != ']') {
-        if (line[i] != '[')
-            return false;
-        char *end = nullptr;
-        const char *p = line.c_str() + i + 1;
-        std::uint64_t b = std::strtoull(p, &end, 10);
-        if (end == p || *end != ',')
-            return false;
-        p = end + 1;
-        std::uint64_t n = std::strtoull(p, &end, 10);
-        if (end == p || *end != ']')
-            return false;
-        out.emplace_back(std::size_t(b), n);
-        i = std::size_t(end - line.c_str()) + 1;
-        if (i < line.size() && line[i] == ',')
-            ++i;
-    }
-    return i < line.size();
-}
-
 struct Report
 {
     std::map<std::string, NodeData> nodes;
@@ -183,80 +100,44 @@ struct Report
     std::uint64_t sampleLines = 0;
     std::uint64_t lastT = 0;
 
-    /** Parse one line; returns false (with *err set) when malformed. */
-    bool
-    addLine(const std::string &line, std::string *err)
+    /** Fold one record in; a FatalError (file:line, key) if malformed. */
+    void
+    add(const obs::JsonlRecord &rec)
     {
-        if (line.empty())
-            return true;
-        std::string kind;
-        if (!getString(line, "kind", kind)) {
-            *err = "no \"kind\" field";
-            return false;
-        }
+        const std::string &kind = rec.str("kind");
         if (kind == "meta") {
-            std::string node;
-            double volts;
-            if (!getString(line, "node", node) ||
-                !getNumber(line, "volts", volts)) {
-                *err = "meta line missing node/volts";
-                return false;
-            }
-            nodes[node].volts = volts;
-            nodes[node].hasMeta = true;
-            return true;
-        }
-        if (kind == "sample") {
-            std::string node, name;
+            NodeData &nd = nodes[rec.str("node")];
+            nd.volts = rec.f64("volts");
+            nd.hasMeta = true;
+        } else if (kind == "sample") {
             Sample s;
-            std::uint64_t t;
-            if (!getString(line, "node", node) ||
-                !getString(line, "name", name) ||
-                !getString(line, "type", s.type) ||
-                !getU64(line, "t", t)) {
-                *err = "sample line missing node/name/type/t";
-                return false;
-            }
+            s.type = rec.str("type");
+            const std::uint64_t t = rec.u64("t");
             if (s.type == "counter" || s.type == "gauge") {
-                if (!getNumber(line, "v", s.v)) {
-                    *err = "sample line missing v";
-                    return false;
-                }
+                s.v = rec.f64("v");
             } else if (s.type == "hist") {
-                if (!getU64(line, "count", s.count) ||
-                    !getU64(line, "sum", s.sum) ||
-                    !getU64(line, "min", s.min) ||
-                    !getU64(line, "max", s.max) ||
-                    !getBuckets(line, s.buckets)) {
-                    *err = "hist sample missing fields";
-                    return false;
-                }
+                s.hist.restore(rec.u64("count"), rec.u64("sum"),
+                               rec.u64("min"), rec.u64("max"),
+                               rec.buckets("buckets",
+                                           sim::MetricHistogram::kNumBuckets));
             } else {
-                *err = "unknown sample type " + s.type;
-                return false;
+                rec.fail("type", "unknown sample type " + s.type);
             }
-            nodes[node].last[name] = std::move(s);
+            nodes[rec.str("node")].last[rec.str("name")] = std::move(s);
             ++sampleLines;
-            if (t > lastT)
-                lastT = t;
-            return true;
-        }
-        if (kind == "profile") {
+            lastT = std::max(lastT, t);
+        } else if (kind == "profile") {
             ProfileLine p;
-            if (!getString(line, "node", p.node) ||
-                !getString(line, "handler", p.handler) ||
-                !getU64(line, "pc", p.pc) ||
-                !getU64(line, "count", p.count) ||
-                !getU64(line, "ticks", p.ticks) ||
-                !getNumber(line, "pj", p.pj)) {
-                *err = "profile line missing fields";
-                return false;
-            }
+            p.node = rec.str("node");
+            p.handler = rec.str("handler");
+            p.pc = rec.u64("pc");
+            p.count = rec.u64("count");
+            p.ticks = rec.u64("ticks");
+            p.pj = rec.f64("pj");
             profiles.push_back(std::move(p));
-            return true;
+        } else {
+            rec.fail("kind", "unknown kind " + kind);
         }
-        *err = "unknown kind " + kind;
-        return false;
     }
 
     double
@@ -482,7 +363,7 @@ printLatency(const Report &r)
     bool any = false;
     for (const auto &[metric, s] : src->last) {
         if (metric.rfind("core.evq_wait_ticks", 0) != 0 ||
-            s.type != "hist" || s.count == 0)
+            s.type != "hist" || s.hist.count() == 0)
             continue;
         if (!any) {
             std::printf("handler dispatch latency, enqueue to "
@@ -491,10 +372,7 @@ printLatency(const Report &r)
                         "samples", "p50", "p90", "p99", "max");
             any = true;
         }
-        // Rebuild the histogram so percentiles use the simulator's
-        // own deterministic estimator.
-        sim::MetricHistogram h;
-        h.restore(s.count, s.sum, s.min, s.max, s.buckets);
+        const sim::MetricHistogram &h = s.hist;
         std::string label = metric == "core.evq_wait_ticks"
                                 ? "(all events)"
                                 : metric.substr(20);
@@ -611,7 +489,7 @@ main(int argc, char **argv)
             calibrate = true;
         else if (!std::strcmp(argv[i], "--energest"))
             energest = true;
-        else if (argv[i][0] == '-') {
+        else if (argv[i][0] == '-' && argv[i][1] != '\0') {
             std::fprintf(stderr, "unknown option %s\n", argv[i]);
             return 2;
         } else
@@ -620,26 +498,18 @@ main(int argc, char **argv)
     if (!path) {
         std::fprintf(stderr, "usage: snap-report FILE.jsonl "
                              "[--folded] [--validate] [--calibrate] "
-                             "[--energest]\n");
+                             "[--energest]\n"
+                             "FILE may be - for stdin\n");
         return 2;
     }
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        return 1;
-    }
-
     Report report;
-    std::string line, err;
-    std::uint64_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (!report.addLine(line, &err)) {
-            std::fprintf(stderr, "%s:%llu: %s\n", path,
-                         static_cast<unsigned long long>(lineno),
-                         err.c_str());
-            return 1;
-        }
+    std::uint64_t lines = 0;
+    try {
+        lines = obs::readJsonl(
+            path, [&](const obs::JsonlRecord &rec) { report.add(rec); });
+    } catch (const sim::FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
     }
     if (report.sampleLines == 0) {
         std::fprintf(stderr, "%s: no sample lines\n", path);
@@ -648,7 +518,7 @@ main(int argc, char **argv)
     if (validate) {
         std::printf("%s: %llu lines ok (%llu samples, %zu profile "
                     "rows)\n",
-                    path, static_cast<unsigned long long>(lineno),
+                    path, static_cast<unsigned long long>(lines),
                     static_cast<unsigned long long>(
                         report.sampleLines),
                     report.profiles.size());

@@ -7,16 +7,16 @@
  *                        [--fidelity fast|cycle] [--cal=FILE]
  *                        [--trace=FILE] [--trace-format=json|vcd]
  *                        [--metrics=FILE] [--metrics-interval=TICKS]
- *                        [--metrics-format=jsonl|csv] [--profile]
+ *                        [--profile]
  *        snap-run --scenario=FILE.scn [--jobs K] [--row=FILE]
  *                        [--fidelity fast|cycle] [--cal=FILE]
- *                        [--metrics=FILE] [--metrics-format=jsonl|csv]
- *                        [--flows=FILE]
+ *                        [--metrics=FILE] [--flows=FILE]
  *                        [--save-at=MS]... [--save=FILE.snap]
  *                        [--restore=FILE.snap]
  *
  * `--trace=-`, `--metrics=-` and `--flows=-` stream to stdout instead
- * of a file (pipe straight into snap-trace / snap-report).
+ * of a file (pipe straight into `snap-trace -` / `snap-report -`); the
+ * report printed alongside then goes to stderr.
  *
  * Runs for N simulated milliseconds (default 100) or until `halt`,
  * prints the `dbgout` stream, and optionally a stats/energy report.
@@ -77,6 +77,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "asm/snap_backend.hh"
@@ -104,17 +105,12 @@ struct MetricsPump
     core::Machine &machine;
     std::ostream &out;
     sim::Tick interval;
-    bool csv;
     sim::Tick lastAt = sim::kMaxTick;
 
     void
     start(double volts)
     {
-        if (csv)
-            sim::MetricsRegistry::writeCsvHeader(out);
-        else
-            sim::MetricsRegistry::writeMetaJsonl(out, "n0", volts,
-                                                 interval);
+        sim::MetricsRegistry::writeMetaJsonl(out, "n0", volts, interval);
         machine.ctx().kernel.scheduleAfter(interval,
                                            [this] { tick(); });
     }
@@ -132,10 +128,7 @@ struct MetricsPump
     {
         machine.sampleMetrics();
         const sim::Tick t = machine.ctx().kernel.now();
-        if (csv)
-            machine.ctx().metrics.writeCsv(out, t, "n0");
-        else
-            machine.ctx().metrics.writeJsonl(out, t, "n0");
+        machine.ctx().metrics.writeJsonl(out, t, "n0");
         lastAt = t;
     }
 
@@ -145,10 +138,8 @@ struct MetricsPump
     {
         if (lastAt != machine.ctx().kernel.now())
             sample();
-        if (!csv)
-            for (const sim::ProfileRow &row :
-                 machine.core().profileRows())
-                sim::MetricsRegistry::writeProfileJsonl(out, "n0", row);
+        for (const sim::ProfileRow &row : machine.core().profileRows())
+            sim::MetricsRegistry::writeProfileJsonl(out, "n0", row);
         out.flush();
     }
 };
@@ -189,7 +180,6 @@ main(int argc, char **argv)
     std::string trace_path;
     std::string trace_format = "json";
     std::string metrics_path;
-    std::string metrics_format = "jsonl";
     std::string flows_path;
     std::string scenario_path;
     std::string row_path;
@@ -228,8 +218,6 @@ main(int argc, char **argv)
             metrics_path = argv[i] + 10;
         else if (!std::strncmp(argv[i], "--metrics-interval=", 19))
             metrics_interval = std::strtoull(argv[i] + 19, nullptr, 0);
-        else if (!std::strncmp(argv[i], "--metrics-format=", 17))
-            metrics_format = argv[i] + 17;
         else if (!std::strncmp(argv[i], "--flows=", 8))
             flows_path = argv[i] + 8;
         else if (!std::strncmp(argv[i], "--scenario=", 11))
@@ -259,7 +247,6 @@ main(int argc, char **argv)
                              "[--trace-format=json|vcd] "
                              "[--metrics=FILE] "
                              "[--metrics-interval=TICKS] "
-                             "[--metrics-format=jsonl|csv] "
                              "[--flows=FILE] "
                              "[--profile] [--save-at=MS]... "
                              "[--save=FILE.snap] "
@@ -270,12 +257,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "unknown trace format '%s' "
                              "(expected json or vcd)\n",
                      trace_format.c_str());
-        return 2;
-    }
-    if (metrics_format != "jsonl" && metrics_format != "csv") {
-        std::fprintf(stderr, "unknown metrics format '%s' "
-                             "(expected jsonl or csv)\n",
-                     metrics_format.c_str());
         return 2;
     }
     if (volts.empty() || metrics_interval == 0) {
@@ -325,39 +306,36 @@ main(int argc, char **argv)
                      "--flows needs --scenario or --nodes > 1\n");
         return 2;
     }
-    const bool metrics_csv = metrics_format == "csv";
-    // "-" streams to stdout instead of a file (metrics and flows
-    // alike; --trace handles it at write-out time below).
-    std::ofstream metrics_file;
-    std::ostream *metrics_out = nullptr;
-    if (!metrics_path.empty()) {
-        if (metrics_path == "-") {
-            metrics_out = &std::cout;
-        } else {
-            metrics_file.open(metrics_path);
-            if (!metrics_file) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             metrics_path.c_str());
-                return 1;
-            }
-            metrics_out = &metrics_file;
-        }
+    if (!trace_path.empty() && (!scenario_path.empty() || nodes > 1)) {
+        std::fprintf(stderr, "--trace needs a single-machine run\n");
+        return 2;
     }
-    std::ofstream flows_file;
-    std::ostream *flows_out = nullptr;
-    if (!flows_path.empty()) {
-        if (flows_path == "-") {
-            flows_out = &std::cout;
-        } else {
-            flows_file.open(flows_path);
-            if (!flows_file) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             flows_path.c_str());
-                return 1;
-            }
-            flows_out = &flows_file;
+    // "-" streams to stdout instead of a file.
+    std::ofstream metrics_file, flows_file, trace_file;
+    std::ostream *metrics_out = nullptr, *flows_out = nullptr,
+                 *trace_out = nullptr;
+    for (auto [arg, file, out] :
+         {std::tuple{&metrics_path, &metrics_file, &metrics_out},
+          std::tuple{&flows_path, &flows_file, &flows_out},
+          std::tuple{&trace_path, &trace_file, &trace_out}}) {
+        if (arg->empty())
+            continue;
+        *out = &std::cout;
+        if (*arg == "-")
+            continue;
+        file->open(*arg);
+        if (!*file) {
+            std::fprintf(stderr, "cannot write %s\n", arg->c_str());
+            return 1;
         }
+        *out = file;
     }
+
+    // A `-` stream owns stdout; the report then goes to stderr so the
+    // stream pipes clean into snap-trace/snap-report.
+    const bool streamed = metrics_out == &std::cout ||
+                          flows_out == &std::cout || trace_out == &std::cout;
+    FILE *report = streamed ? stderr : stdout;
 
     if (!scenario_path.empty()) {
         try {
@@ -365,7 +343,6 @@ main(int argc, char **argv)
                 scenario::loadScenario(scenario_path);
             scenario::RunOptions opt;
             opt.jobs = jobs;
-            opt.metricsCsv = metrics_csv;
             if (!fidelity_arg.empty())
                 opt.fidelityFast = fast_tier;
             if (!cal_path.empty())
@@ -387,11 +364,7 @@ main(int argc, char **argv)
             const scenario::RunResult res =
                 scenario::runScenario(sc, opt);
             const std::string rows = res.rows();
-            // A `-` stream owns stdout; keep the report off it so the
-            // JSONL pipes clean into snap-trace/snap-report.
-            const bool streamed = metrics_out == &std::cout ||
-                                  flows_out == &std::cout;
-            std::fputs(rows.c_str(), streamed ? stderr : stdout);
+            std::fputs(rows.c_str(), report);
             if (!row_path.empty()) {
                 std::ofstream out(row_path);
                 if (!out) {
@@ -440,8 +413,7 @@ main(int argc, char **argv)
             }
             net.enableTracing(/*record=*/false);
             if (metrics_out)
-                net.enableMetrics(*metrics_out, metrics_interval,
-                                  metrics_csv);
+                net.enableMetrics(*metrics_out, metrics_interval);
             if (flows_out)
                 net.enableFlows(*flows_out);
             net.start();
@@ -471,46 +443,46 @@ main(int argc, char **argv)
         }
         for (std::size_t i = 0; i < net.size(); ++i) {
             for (std::uint16_t v : net.node(i).core().debugOut())
-                std::printf("%s dbgout: %u (0x%04x)\n",
-                            net.node(i).name().c_str(), v, v);
+                std::fprintf(report, "%s dbgout: %u (0x%04x)\n",
+                             net.node(i).name().c_str(), v, v);
         }
         for (std::size_t i = 0; i < net.size(); ++i)
-            std::printf("%s: trace hash 0x%016llx, seed 0x%04x\n",
-                        net.node(i).name().c_str(),
-                        static_cast<unsigned long long>(
-                            net.nodeTraceHash(i)),
-                        static_cast<unsigned>(
-                            net.node(i).derivedSeed() & 0xffff));
+            std::fprintf(report, "%s: trace hash 0x%016llx, seed 0x%04x\n",
+                         net.node(i).name().c_str(),
+                         static_cast<unsigned long long>(
+                             net.nodeTraceHash(i)),
+                         static_cast<unsigned>(
+                             net.node(i).derivedSeed() & 0xffff));
         if (stats) {
             const auto &air = net.stats();
-            std::printf("--\n");
-            std::printf("air          : %llu sent, %llu delivered, "
-                        "%llu collided, drops %llu mode / %llu fifo\n",
-                        static_cast<unsigned long long>(air.wordsSent),
-                        static_cast<unsigned long long>(
-                            air.wordsDelivered),
-                        static_cast<unsigned long long>(
-                            air.collisions),
-                        static_cast<unsigned long long>(air.dropsMode),
-                        static_cast<unsigned long long>(
-                            air.dropsFifo));
+            std::fprintf(report, "--\n");
+            std::fprintf(report, "air          : %llu sent, %llu delivered, "
+                         "%llu collided, drops %llu mode / %llu fifo\n",
+                         static_cast<unsigned long long>(air.wordsSent),
+                         static_cast<unsigned long long>(
+                             air.wordsDelivered),
+                         static_cast<unsigned long long>(
+                             air.collisions),
+                         static_cast<unsigned long long>(air.dropsMode),
+                         static_cast<unsigned long long>(
+                             air.dropsFifo));
             double total_pj = 0.0;
             for (std::size_t i = 0; i < net.size(); ++i)
                 total_pj += net.node(i).ctx().ledger.totalPj();
-            std::printf("energy       : %.2f uJ total across %u "
-                        "nodes\n",
-                        total_pj / 1e6, nodes);
-            std::printf("events       : %llu across %u shards, "
-                        "%u lane%s, window %.1f us\n",
-                        static_cast<unsigned long long>(
-                            net.eventsDispatched()),
-                        nodes, jobs, jobs == 1 ? "" : "s",
-                        sim::toUs(net.window()));
+            std::fprintf(report, "energy       : %.2f uJ total across %u "
+                         "nodes\n",
+                         total_pj / 1e6, nodes);
+            std::fprintf(report, "events       : %llu across %u shards, "
+                         "%u lane%s, window %.1f us\n",
+                         static_cast<unsigned long long>(
+                             net.eventsDispatched()),
+                         nodes, jobs, jobs == 1 ? "" : "s",
+                         sim::toUs(net.window()));
             if (net_elapsed > 0.0)
-                std::printf("host speed   : %.0f instr/sec (%.2f s "
-                            "host)\n",
-                            double(net_instructions) / net_elapsed,
-                            net_elapsed);
+                std::fprintf(report, "host speed   : %.0f instr/sec (%.2f s "
+                             "host)\n",
+                             double(net_instructions) / net_elapsed,
+                             net_elapsed);
         }
         return 0;
     }
@@ -520,14 +492,14 @@ main(int argc, char **argv)
     cfg.classCal = cal;
     sim::Kernel kernel;
     sim::TraceSink tracer;
-    if (!trace_path.empty())
+    if (trace_out)
         kernel.setTracer(&tracer);
     core::Machine machine(kernel, cfg);
     machine.core().recordTimeline(timeline);
     if (profile)
         machine.core().enableProfile(true);
     MetricsPump pump{machine, metrics_out ? *metrics_out : std::cout,
-                     metrics_interval, metrics_csv};
+                     metrics_interval};
     double elapsed = 0.0;
     try {
         machine.load(assembler::assembleSnap(src.str(), path));
@@ -548,64 +520,55 @@ main(int argc, char **argv)
     }
 
     for (std::uint16_t v : machine.core().debugOut())
-        std::printf("dbgout: %u (0x%04x)\n", v, v);
+        std::fprintf(report, "dbgout: %u (0x%04x)\n", v, v);
 
-    if (!trace_path.empty()) {
-        std::ofstream file;
-        if (trace_path != "-") {
-            file.open(trace_path);
-            if (!file) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             trace_path.c_str());
-                return 1;
-            }
-        }
-        std::ostream &out = trace_path == "-" ? std::cout : file;
+    if (trace_out) {
         if (trace_format == "vcd")
-            tracer.writeVcd(out);
+            tracer.writeVcd(*trace_out);
         else
-            tracer.writeChromeJson(out);
-        out.flush();
-        std::printf("trace: %llu events, hash 0x%016llx -> %s\n",
-                    static_cast<unsigned long long>(
-                        tracer.eventCount()),
-                    static_cast<unsigned long long>(tracer.hash()),
-                    trace_path.c_str());
+            tracer.writeChromeJson(*trace_out);
+        trace_out->flush();
+        std::fprintf(report, "trace: %llu events, hash 0x%016llx -> %s\n",
+                     static_cast<unsigned long long>(
+                         tracer.eventCount()),
+                     static_cast<unsigned long long>(tracer.hash()),
+                     trace_path.c_str());
     }
 
     if (stats) {
         const auto &st = machine.core().stats();
         machine.ctx().accrueLeakage();
         const auto &l = machine.ctx().ledger;
-        std::printf("--\n");
-        std::printf("state        : %s\n",
-                    machine.core().halted()
-                        ? "halted"
-                        : (machine.core().asleep() ? "asleep"
-                                                   : "running"));
-        std::printf("instructions : %llu\n",
-                    static_cast<unsigned long long>(st.instructions));
-        std::printf("handlers     : %llu (sleep/wake %llu/%llu)\n",
-                    static_cast<unsigned long long>(st.handlers),
-                    static_cast<unsigned long long>(st.sleeps),
-                    static_cast<unsigned long long>(st.wakeups));
-        std::printf("active time  : %.2f us\n",
-                    sim::toUs(st.activeTime));
+        std::fprintf(report, "--\n");
+        std::fprintf(report, "state        : %s\n",
+                     machine.core().halted()
+                         ? "halted"
+                         : (machine.core().asleep() ? "asleep"
+                                                    : "running"));
+        std::fprintf(report, "instructions : %llu\n",
+                     static_cast<unsigned long long>(st.instructions));
+        std::fprintf(report, "handlers     : %llu (sleep/wake %llu/%llu)\n",
+                     static_cast<unsigned long long>(st.handlers),
+                     static_cast<unsigned long long>(st.sleeps),
+                     static_cast<unsigned long long>(st.wakeups));
+        std::fprintf(report, "active time  : %.2f us\n",
+                     sim::toUs(st.activeTime));
         if (elapsed > 0.0)
-            std::printf("host speed   : %.0f instr/sec (%.2f s host)\n",
-                        double(st.instructions) / elapsed, elapsed);
+            std::fprintf(report,
+                         "host speed   : %.0f instr/sec (%.2f s host)\n",
+                         double(st.instructions) / elapsed, elapsed);
         if (st.instructions) {
-            std::printf("energy       : %.1f nJ dynamic "
-                        "(%.1f pJ/ins), %.1f nJ leakage\n",
-                        l.processorPj() / 1e3,
-                        l.processorPj() / double(st.instructions),
-                        l.pj(energy::Cat::Leakage) / 1e3);
+            std::fprintf(report, "energy       : %.1f nJ dynamic "
+                         "(%.1f pJ/ins), %.1f nJ leakage\n",
+                         l.processorPj() / 1e3,
+                         l.processorPj() / double(st.instructions),
+                         l.pj(energy::Cat::Leakage) / 1e3);
         }
-        std::printf("avg power    : %.1f nW dynamic + %.1f nW leak\n",
-                    node::averagePowerNw(l.processorPj(),
-                                         kernel.now()),
-                    node::averagePowerNw(l.pj(energy::Cat::Leakage),
-                                         kernel.now()));
+        std::fprintf(report, "avg power    : %.1f nW dynamic + %.1f nW leak\n",
+                     node::averagePowerNw(l.processorPj(),
+                                          kernel.now()),
+                     node::averagePowerNw(l.pj(energy::Cat::Leakage),
+                                          kernel.now()));
         static const char *kEventNames[] = {
             "Timer0", "Timer1", "Timer2",   "RadioRx",
             "SensorIrq", "SensorData", "RadioTxRdy"};
@@ -613,25 +576,25 @@ main(int argc, char **argv)
             const auto &h = st.perEvent[e];
             if (h.activations == 0)
                 continue;
-            std::printf("handler %-10s: %llu activations, "
-                        "%.1f ins each\n",
-                        kEventNames[e],
-                        static_cast<unsigned long long>(h.activations),
-                        h.instructionsPerActivation());
+            std::fprintf(report, "handler %-10s: %llu activations, "
+                         "%.1f ins each\n",
+                         kEventNames[e],
+                         static_cast<unsigned long long>(h.activations),
+                         h.instructionsPerActivation());
         }
     }
     if (timeline) {
-        std::printf("-- activity timeline (wake .. sleep) --\n");
+        std::fprintf(report, "-- activity timeline (wake .. sleep) --\n");
         for (const auto &span : machine.core().timeline()) {
             std::string what =
                 span.firstEvent == 0xff
                     ? std::string("boot")
                     : "event " + std::to_string(span.firstEvent);
-            std::printf("%10.3f us .. %10.3f us  (%6.2f us awake)  "
-                        "%s\n",
-                        sim::toUs(span.wake), sim::toUs(span.sleep),
-                        sim::toUs(span.sleep - span.wake),
-                        what.c_str());
+            std::fprintf(report, "%10.3f us .. %10.3f us  (%6.2f us awake)  "
+                         "%s\n",
+                         sim::toUs(span.wake), sim::toUs(span.sleep),
+                         sim::toUs(span.sleep - span.wake),
+                         what.c_str());
         }
     }
     return 0;

@@ -6,10 +6,10 @@
  *
  * Reads the flow-span JSONL a run emits via `snap-run --flows`
  * (src/obs/flow.hh, docs/TRACING.md) — FILE may be `-` for stdin —
- * and folds the spans into per-flow dissemination trees: which nodes
- * a flow reached, along which parent edges, at what hop depth, with
- * per-hop forward latency percentiles and attributed transmit energy
- * per flow and per span.
+ * through the shared stream reader (obs/jsonl.hh) and folds the spans
+ * into per-flow dissemination trees: which nodes a flow reached, along
+ * which parent edges, at what hop depth, with per-hop forward latency
+ * percentiles and attributed transmit energy per flow and per span.
  *
  * --validate checks every line against the canonical span schema and
  * the stream's ordering contract (globally sorted by (tx_tick, node),
@@ -27,126 +27,54 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "obs/flow.hh"
+#include "obs/jsonl.hh"
+#include "sim/logging.hh"
+#include "sim/trace.hh"
+
 namespace {
 
-/** One parsed span line (schema: src/obs/flow.hh writeSpanJsonl). */
-struct Span
-{
-    std::uint32_t origin = 0;
-    std::uint32_t id = 0;
-    std::uint32_t node = 0;
-    long long parent = -1; ///< -1 at hop 0
-    std::uint32_t hop = 0;
-    std::uint32_t word = 0;
-    std::uint64_t rxTick = 0;
-    std::uint64_t txTick = 0;
-    double pj = 0.0;
-};
-
-std::size_t
-valueOffset(const std::string &line, const char *key)
-{
-    std::string pat = "\"";
-    pat += key;
-    pat += "\":";
-    const auto p = line.find(pat);
-    return p == std::string::npos ? std::string::npos : p + pat.size();
-}
-
-bool
-getI64(const std::string &line, const char *key, long long &out)
-{
-    const auto at = valueOffset(line, key);
-    if (at == std::string::npos)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    out = std::strtoll(line.c_str() + at, &end, 10);
-    return end != line.c_str() + at && errno == 0;
-}
-
-bool
-getU64(const std::string &line, const char *key, std::uint64_t &out)
-{
-    long long v = 0;
-    if (!getI64(line, key, v) || v < 0)
-        return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
-bool
-getF64(const std::string &line, const char *key, double &out)
-{
-    const auto at = valueOffset(line, key);
-    if (at == std::string::npos)
-        return false;
-    char *end = nullptr;
-    out = std::strtod(line.c_str() + at, &end);
-    return end != line.c_str() + at;
-}
+using namespace snaple;
+using obs::kNoNode;
+using obs::SpanRecord;
 
 /**
- * Parse and schema-check one line. Returns false with *err set on
- * any violation of the canonical writer's contract.
+ * Read one span line (schema: src/obs/flow.hh writeSpanJsonl). Every
+ * field is range-checked against its SpanRecord type and the span
+ * against the canonical writer's contract.
  */
-bool
-parseSpan(const std::string &line, Span &s, std::string *err)
+SpanRecord
+readSpan(const obs::JsonlRecord &rec)
 {
-    if (line.rfind("{\"type\":\"span\",", 0) != 0) {
-        *err = "not a span line";
-        return false;
-    }
-    std::uint64_t origin = 0, id = 0, node = 0, hop = 0, word = 0;
-    long long parent = 0;
-    if (!getU64(line, "origin", origin) || !getU64(line, "id", id) ||
-        !getU64(line, "node", node) ||
-        !getI64(line, "parent", parent) || !getU64(line, "hop", hop) ||
-        !getU64(line, "word", word) ||
-        !getU64(line, "rx_tick", s.rxTick) ||
-        !getU64(line, "tx_tick", s.txTick) ||
-        !getF64(line, "pj", s.pj)) {
-        *err = "missing or malformed field";
-        return false;
-    }
-    if (origin > 0xffffffffu || node > 0xffffffffu || hop > 0xffff ||
-        word > 0xffff || parent < -1 || parent > 0xffffffffll) {
-        *err = "field out of range";
-        return false;
-    }
-    s.origin = static_cast<std::uint32_t>(origin);
-    s.id = static_cast<std::uint32_t>(id);
-    s.node = static_cast<std::uint32_t>(node);
-    s.parent = parent;
-    s.hop = static_cast<std::uint32_t>(hop);
-    s.word = static_cast<std::uint32_t>(word);
-    if ((s.hop == 0) != (s.parent == -1)) {
-        *err = "hop/parent mismatch (hop 0 iff parent -1)";
-        return false;
-    }
-    if (s.hop == 0 && s.rxTick != 0) {
-        *err = "origin span with nonzero rx_tick";
-        return false;
-    }
-    if (s.hop == 0 && s.origin != s.node) {
-        *err = "origin span not emitted by its origin node";
-        return false;
-    }
-    if (s.hop > 0 && s.rxTick > s.txTick) {
-        *err = "rx latch after transmit";
-        return false;
-    }
-    if (s.pj < 0) {
-        *err = "negative pj";
-        return false;
-    }
-    return true;
+    if (rec.str("type") != "span")
+        rec.fail("type", "not a span line");
+    SpanRecord s;
+    s.origin = std::uint32_t(rec.u64("origin", 0xffffffffu));
+    s.id = std::uint32_t(rec.u64("id", 0xffffffffu));
+    s.node = std::uint32_t(rec.u64("node", 0xffffffffu));
+    // -1 wraps to kNoNode, which the range keeps from real parents.
+    s.parent = std::uint32_t(rec.i64("parent", -1, kNoNode - 1));
+    s.hop = std::uint16_t(rec.u64("hop", 0xffff));
+    s.word = std::uint16_t(rec.u64("word", 0xffff));
+    s.rxTick = rec.u64("rx_tick");
+    s.txTick = rec.u64("tx_tick");
+    s.pj = rec.f64("pj");
+    if ((s.hop == 0) != (s.parent == kNoNode))
+        rec.fail("parent", "hop/parent mismatch (hop 0 iff parent -1)");
+    if (s.hop == 0 && s.rxTick != 0)
+        rec.fail("rx_tick", "origin span with nonzero rx_tick");
+    if (s.hop == 0 && s.origin != s.node)
+        rec.fail("node", "origin span not emitted by its origin node");
+    if (s.hop > 0 && s.rxTick > s.txTick)
+        rec.fail("rx_tick", "rx latch after transmit");
+    if (s.pj < 0)
+        rec.fail("pj", "negative pj");
+    return s;
 }
 
 double
@@ -169,9 +97,9 @@ using FlowKey = std::pair<std::uint32_t, std::uint32_t>;
 
 struct Flow
 {
-    std::vector<Span> spans; ///< stream order
+    std::vector<SpanRecord> spans; ///< stream order
     /** Per node: first span (earliest tx — the tree edge). */
-    std::map<std::uint32_t, const Span *> first;
+    std::map<std::uint32_t, const SpanRecord *> first;
     std::uint32_t maxHop = 0;
     double pj = 0.0;
 };
@@ -183,10 +111,10 @@ printTree(const Flow &f, std::uint32_t node,
     const auto it = f.first.find(node);
     if (it == f.first.end() || !visited.insert(node).second)
         return;
-    const Span &s = *it->second;
+    const SpanRecord &s = *it->second;
     std::size_t count = 0;
     double pj = 0.0;
-    for (const Span &sp : f.spans)
+    for (const SpanRecord &sp : f.spans)
         if (sp.node == node) {
             ++count;
             pj += sp.pj;
@@ -197,35 +125,35 @@ printTree(const Flow &f, std::uint32_t node,
     std::printf(" tx@%.3fms (%zu span%s, %.1f nJ)\n", toMs(s.txTick),
                 count, count == 1 ? "" : "s", pj / 1e3);
     // Children sorted by first-transmit tick: breadth-stable output.
-    std::vector<const Span *> kids;
+    std::vector<const SpanRecord *> kids;
     for (const auto &[n, sp] : f.first)
-        if (sp->parent == static_cast<long long>(node))
+        if (sp->parent == node)
             kids.push_back(sp);
     std::sort(kids.begin(), kids.end(),
-              [](const Span *a, const Span *b) {
+              [](const SpanRecord *a, const SpanRecord *b) {
                   return a->txTick != b->txTick ? a->txTick < b->txTick
                                                 : a->node < b->node;
               });
-    for (const Span *k : kids)
+    for (const SpanRecord *k : kids)
         printTree(f, k->node, visited, depth + 1);
 }
 
 void
-printReport(const std::vector<Span> &spans, std::size_t top)
+printReport(const std::vector<SpanRecord> &spans, std::size_t top)
 {
     std::map<FlowKey, Flow> flows;
     std::set<std::uint32_t> nodes;
     double totalPj = 0.0;
-    for (const Span &s : spans) {
+    for (const SpanRecord &s : spans) {
         Flow &f = flows[{s.origin, s.id}];
         f.spans.push_back(s);
-        f.maxHop = std::max(f.maxHop, s.hop);
+        f.maxHop = std::max<std::uint32_t>(f.maxHop, s.hop);
         f.pj += s.pj;
         nodes.insert(s.node);
         totalPj += s.pj;
     }
     for (auto &[key, f] : flows)
-        for (const Span &s : f.spans) {
+        for (const SpanRecord &s : f.spans) {
             auto [it, fresh] = f.first.try_emplace(s.node, &s);
             if (!fresh && s.txTick < it->second->txTick)
                 it->second = &s;
@@ -238,7 +166,7 @@ printReport(const std::vector<Span> &spans, std::size_t top)
 
     // Forward latency — rx latch to transmit — per hop depth.
     std::map<std::uint32_t, std::vector<double>> byHop;
-    for (const Span &s : spans)
+    for (const SpanRecord &s : spans)
         if (s.hop > 0)
             byHop[s.hop].push_back(toMs(s.txTick - s.rxTick));
     if (!byHop.empty()) {
@@ -295,35 +223,27 @@ printReport(const std::vector<Span> &spans, std::size_t top)
  * transmissions become "i" instants.
  */
 int
-writeChrome(const std::vector<Span> &spans, const char *path)
+writeChrome(const std::vector<SpanRecord> &spans, const char *path)
 {
     std::ofstream out(path);
     if (!out) {
         std::fprintf(stderr, "cannot write %s\n", path);
         return 1;
     }
-    out << "{\"traceEvents\":[\n";
+    sim::ChromeTraceWriter chrome(out);
     std::set<std::uint32_t> nodes;
-    for (const Span &s : spans)
+    for (const SpanRecord &s : spans)
         nodes.insert(s.node);
-    bool sep = false;
-    for (std::uint32_t n : nodes) {
-        if (sep)
-            out << ",\n";
-        sep = true;
-        out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
-               "\"tid\":"
-            << n << ",\"args\":{\"name\":\"node " << n << "\"}}";
-    }
+    for (std::uint32_t n : nodes)
+        chrome.threadName(n, "node " + std::to_string(n));
     char buf[64];
-    for (const Span &s : spans) {
-        out << ",\n";
+    for (const SpanRecord &s : spans) {
         const double tsUs =
             double(s.hop > 0 ? s.rxTick : s.txTick) / 1e6;
-        out << "{\"name\":\"flow " << s.origin << "/" << s.id
-            << " hop " << s.hop << "\",\"ph\":\""
-            << (s.hop > 0 ? 'X' : 'i') << "\",\"pid\":0,\"tid\":"
-            << s.node << ",\"ts\":";
+        chrome.event() << "{\"name\":\"flow " << s.origin << "/"
+                       << s.id << " hop " << s.hop << "\",\"ph\":\""
+                       << (s.hop > 0 ? 'X' : 'i')
+                       << "\",\"pid\":0,\"tid\":" << s.node << ",\"ts\":";
         std::snprintf(buf, sizeof buf, "%.3f", tsUs);
         out << buf;
         if (s.hop > 0) {
@@ -334,10 +254,11 @@ writeChrome(const std::vector<Span> &spans, const char *path)
             out << ",\"s\":\"t\"";
         }
         out << ",\"args\":{\"origin\":" << s.origin << ",\"id\":"
-            << s.id << ",\"parent\":" << s.parent << ",\"word\":"
-            << s.word << ",\"pj\":" << s.pj << "}}";
+            << s.id << ",\"parent\":"
+            << (s.parent == kNoNode ? -1 : static_cast<long long>(s.parent))
+            << ",\"word\":" << s.word << ",\"pj\":" << s.pj << "}}";
     }
-    out << "\n]}\n";
+    chrome.finish();
     out.flush();
     return out ? 0 : 1;
 }
@@ -373,49 +294,26 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::ifstream file;
-    if (std::strcmp(path, "-")) {
-        file.open(path);
-        if (!file) {
-            std::fprintf(stderr, "cannot open %s\n", path);
-            return 2;
-        }
-    }
-    std::istream &in = std::strcmp(path, "-") ? file : std::cin;
-
-    std::vector<Span> spans;
-    std::string line, err;
-    std::size_t lineNo = 0;
-    std::uint64_t prevTx = 0;
-    std::uint32_t prevNode = 0;
-    while (std::getline(in, line)) {
-        ++lineNo;
-        if (line.empty())
-            continue;
-        Span s;
-        if (!parseSpan(line, s, &err)) {
-            std::fprintf(stderr, "%s:%zu: %s\n", path, lineNo,
-                         err.c_str());
-            return 1;
-        }
-        // Ordering contract: globally sorted by (tx_tick, node).
-        if (!spans.empty() &&
-            (s.txTick < prevTx ||
-             (s.txTick == prevTx && s.node <= prevNode))) {
-            std::fprintf(stderr,
-                         "%s:%zu: stream not sorted by "
-                         "(tx_tick, node)\n",
-                         path, lineNo);
-            return 1;
-        }
-        prevTx = s.txTick;
-        prevNode = s.node;
-        spans.push_back(s);
+    std::vector<SpanRecord> spans;
+    try {
+        obs::readJsonl(path, [&](const obs::JsonlRecord &rec) {
+            const SpanRecord s = readSpan(rec);
+            // Ordering contract: globally sorted by (tx_tick, node).
+            if (!spans.empty() &&
+                (s.txTick < spans.back().txTick ||
+                 (s.txTick == spans.back().txTick &&
+                  s.node <= spans.back().node)))
+                rec.fail("tx_tick", "stream not sorted by (tx_tick, node)");
+            spans.push_back(s);
+        });
+    } catch (const sim::FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
     }
 
     if (validate) {
         std::map<FlowKey, std::size_t> flows;
-        for (const Span &s : spans)
+        for (const SpanRecord &s : spans)
             ++flows[{s.origin, s.id}];
         std::printf("OK: %zu spans, %zu flows, schema and ordering "
                     "valid\n",
