@@ -21,6 +21,7 @@
 #include "net/parallel_network.hh"
 #include "scenario/runner.hh"
 #include "sensor/sensor.hh"
+#include "sim/trace.hh"
 
 namespace {
 
@@ -156,6 +157,41 @@ BM_ChannelPingPong(benchmark::State &state)
     state.SetLabel("kernel events/s");
 }
 BENCHMARK(BM_ChannelPingPong);
+
+void
+BM_TraceSinkEmit(benchmark::State &state)
+{
+    // The determinism witness alone: a hash-only sink (what every
+    // scenario node attaches) fed a fixed mix of the events a
+    // cycle-tier node emits most: fetch and exec per instruction, a
+    // channel handshake and an energy debit.
+    sim::TraceSink sink(false);
+    const std::uint16_t fetch = sink.scope("core.fetch");
+    const std::uint16_t exec = sink.scope("core.exec");
+    const std::uint16_t chan = sink.scope("core.imem");
+    const std::uint16_t energy = sink.scope("energy.core");
+    sim::Tick ts = 0;
+    std::uint64_t pc = 0;
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        for (int i = 0; i < 1024; ++i) {
+            ts += 1800;
+            pc = (pc + 1) & 0x7ff;
+            const std::uint64_t word = (pc * 0x9e37) & 0xffff;
+            sink.emit(ts, fetch, sim::TraceEvent::CoreFetch, pc, word);
+            sink.emit(ts + 300, chan, sim::TraceEvent::ChanHandshake);
+            sink.emit(ts + 600, exec, sim::TraceEvent::CoreExec, word,
+                      pc % 6);
+            sink.emit(ts + 900, energy, sim::TraceEvent::EnergyDebit, 0,
+                      0, 1.25 + 0.5 * static_cast<double>(pc & 7));
+        }
+        events += 4 * 1024;
+    }
+    benchmark::DoNotOptimize(sink.hash());
+    state.SetItemsProcessed(static_cast<int64_t>(events));
+    state.SetLabel("trace events/s");
+}
+BENCHMARK(BM_TraceSinkEmit);
 
 void
 BM_NodeNetworkScaling(benchmark::State &state)

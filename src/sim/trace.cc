@@ -1,7 +1,6 @@
 #include "sim/trace.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <ostream>
 
@@ -11,39 +10,16 @@ namespace snaple::sim {
 
 namespace {
 
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-
-/** FNV-1a over the 8 bytes of @p v, little-endian, platform-neutral. */
-constexpr std::uint64_t
-fnvWord(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
+/** FNV-1a over a scope name (once per name, at intern time). */
 std::uint64_t
 fnvString(std::string_view s)
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = 14695981039346656037ull;
     for (unsigned char c : s) {
         h ^= c;
-        h *= kFnvPrime;
+        h *= 1099511628211ull;
     }
     return h;
-}
-
-/** Bit pattern of a double, for hashing energy amounts. */
-std::uint64_t
-doubleBits(double d)
-{
-    std::uint64_t u = 0;
-    static_assert(sizeof(u) == sizeof(d));
-    std::memcpy(&u, &d, sizeof(u));
-    return u;
 }
 
 /** VCD identifier for var index @p n: base-62 over [a-zA-Z0-9]. */
@@ -157,23 +133,16 @@ TraceSink::scope(const std::string &name)
 }
 
 void
-TraceSink::emit(Tick ts, std::uint16_t scope_id, TraceEvent type,
-                std::uint64_t a0, std::uint64_t a1, double f)
+TraceSink::record(const TraceRecord &r)
 {
-    ++count_;
-    // Canonical stream: (scope-name hash, type, timestamp, args). The
-    // scope *name* hash — not the interned id — keeps the stream hash
-    // independent of interning order.
-    std::uint64_t h = hash_;
-    h = fnvWord(h, scopeHashes_[scope_id]);
-    h = fnvWord(h, static_cast<std::uint64_t>(type));
-    h = fnvWord(h, ts);
-    h = fnvWord(h, a0);
-    h = fnvWord(h, a1);
-    h = fnvWord(h, doubleBits(f));
-    hash_ = h;
-    if (record_)
-        records_.push_back(TraceRecord{ts, a0, a1, f, scope_id, type});
+    records_.push_back(r);
+}
+
+void
+TraceScope::bind(TraceSink *sink)
+{
+    id_ = sink->scope(name_);
+    boundSink_ = sink;
 }
 
 void

@@ -43,8 +43,12 @@ namespace snaple::snapshot {
 inline constexpr std::uint32_t kMagic = 0x53504e53u;
 /** Bump on any schema change; readers reject other versions.
  *  v2: flow tags on in-flight words and pending offers, per-node
- *  flow-tracker and energest duty-ledger state (src/obs/). */
-inline constexpr std::uint32_t kFormatVersion = 2;
+ *  flow-tracker and energest duty-ledger state (src/obs/).
+ *  v3: same layout, but the stored per-node traceHash is a trace hash
+ *  v2 value (word at a time, src/sim/trace.hh). A restored v2 file
+ *  would continue its hash ladder under a different function, so it
+ *  is refused rather than silently resumed. */
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /** One hardware FIFO's full state (buffer plus flow counters). */
 struct FifoState

@@ -1,17 +1,23 @@
 /**
  * @file
  * Tests for the structured tracing subsystem: sink semantics (scope
- * interning, hashing, record-free mode), the Chrome trace_event JSON
- * exporter (syntactic well-formedness, required structure), the VCD
- * exporter (declared variables match the value-change section), and
- * the zero-impact guarantee when no sink is attached.
+ * interning, hashing, record-free mode), the properties of the trace
+ * hash function (a pinned known answer, per-field bit sensitivity,
+ * order, bijective steps, restore continuation), the Chrome
+ * trace_event JSON exporter (syntactic well-formedness, required
+ * structure), the VCD exporter (declared variables match the
+ * value-change section), and the zero-impact guarantee when no sink is
+ * attached.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
 #include <cstdint>
 #include <memory>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -231,6 +237,178 @@ TEST(TraceSinkTest, RecordFreeModeHashesWithoutStoring)
     EXPECT_EQ(full.eventCount(), lean.eventCount());
     EXPECT_EQ(full.records().size(), 10u);
     EXPECT_TRUE(lean.records().empty());
+}
+
+// ---------------------------------------------------------------------
+// The trace hash function (docs/TRACING.md, "The trace hash").
+// ---------------------------------------------------------------------
+
+/** One event as the sink sees it, by scope name. */
+struct Ev
+{
+    const char *scope;
+    sim::TraceEvent type;
+    sim::Tick ts;
+    std::uint64_t a0 = 0;
+    std::uint64_t a1 = 0;
+    double f = 0.0;
+};
+
+/** A fetch, a channel handshake, an exec and an energy debit. */
+const std::vector<Ev> kFourEvents = {
+    {"core.fetch", sim::TraceEvent::CoreFetch, 1000, 0x10, 0xbeef},
+    {"core.imem", sim::TraceEvent::ChanHandshake, 1300},
+    {"core.exec", sim::TraceEvent::CoreExec, 1600, 0xbeef, 2},
+    {"energy.core", sim::TraceEvent::EnergyDebit, 1900, 0, 0, 2.5},
+};
+
+void
+emitAll(sim::TraceSink &sink, const std::vector<Ev> &evs)
+{
+    for (const Ev &e : evs)
+        sink.emit(e.ts, sink.scope(e.scope), e.type, e.a0, e.a1, e.f);
+}
+
+std::uint64_t
+hashOf(const std::vector<Ev> &evs)
+{
+    sim::TraceSink sink(false);
+    emitAll(sink, evs);
+    return sink.hash();
+}
+
+TEST(TraceHashTest, KnownAnswerForAFixedStream)
+{
+    // Pinned so that an accidental change to the hash function fails
+    // here, not only in the scenario goldens. An intended change bumps
+    // the hash version (docs/TRACING.md) and this value together.
+    EXPECT_EQ(hashOf({}), sim::kTraceHashSeed);
+    EXPECT_EQ(hashOf(kFourEvents), 0x8c855bfbd04f849aull);
+}
+
+TEST(TraceHashTest, EveryBitOfEveryFieldChangesTheDigest)
+{
+    const std::uint64_t scopeHash = 0x0123456789abcdefull;
+    const auto type = sim::TraceEvent::CoreExec;
+    const sim::Tick ts = 123456789;
+    const std::uint64_t a0 = 0x1234, a1 = 3;
+    const std::uint64_t fBits = std::bit_cast<std::uint64_t>(2.5);
+    const std::uint64_t base =
+        sim::traceEventDigest(scopeHash, type, ts, a0, a1, fBits);
+    for (int b = 0; b < 64; ++b) {
+        const std::uint64_t m = std::uint64_t{1} << b;
+        EXPECT_NE(sim::traceEventDigest(scopeHash ^ m, type, ts, a0, a1,
+                                        fBits),
+                  base) << "scope hash bit " << b;
+        EXPECT_NE(sim::traceEventDigest(scopeHash, type, ts ^ m, a0, a1,
+                                        fBits),
+                  base) << "ts bit " << b;
+        EXPECT_NE(sim::traceEventDigest(scopeHash, type, ts, a0 ^ m, a1,
+                                        fBits),
+                  base) << "a0 bit " << b;
+        EXPECT_NE(sim::traceEventDigest(scopeHash, type, ts, a0, a1 ^ m,
+                                        fBits),
+                  base) << "a1 bit " << b;
+        EXPECT_NE(sim::traceEventDigest(scopeHash, type, ts, a0, a1,
+                                        fBits ^ m),
+                  base) << "f bit " << b;
+    }
+    for (int b = 0; b < 8; ++b) {
+        const auto flipped = static_cast<sim::TraceEvent>(
+            static_cast<std::uint8_t>(type) ^ (1u << b));
+        EXPECT_NE(sim::traceEventDigest(scopeHash, flipped, ts, a0, a1,
+                                        fBits),
+                  base) << "type bit " << b;
+    }
+}
+
+TEST(TraceHashTest, EveryBitOfEveryEmittedFieldChangesTheHash)
+{
+    // The same property end to end through TraceSink::emit, for every
+    // field a caller passes (the scope enters by name).
+    const Ev e = kFourEvents[2];
+    const std::uint64_t base = hashOf({e});
+    for (int b = 0; b < 64; ++b) {
+        const std::uint64_t m = std::uint64_t{1} << b;
+        Ev x = e;
+        x.ts ^= m;
+        EXPECT_NE(hashOf({x}), base) << "ts bit " << b;
+        x = e;
+        x.a0 ^= m;
+        EXPECT_NE(hashOf({x}), base) << "a0 bit " << b;
+        x = e;
+        x.a1 ^= m;
+        EXPECT_NE(hashOf({x}), base) << "a1 bit " << b;
+        x = e;
+        x.f = std::bit_cast<double>(std::bit_cast<std::uint64_t>(e.f) ^ m);
+        EXPECT_NE(hashOf({x}), base) << "f bit " << b;
+    }
+    for (int b = 0; b < 8; ++b) {
+        Ev x = e;
+        x.type = static_cast<sim::TraceEvent>(
+            static_cast<std::uint8_t>(e.type) ^ (1u << b));
+        EXPECT_NE(hashOf({x}), base) << "type bit " << b;
+    }
+    Ev x = e;
+    x.scope = "core.fetch";
+    EXPECT_NE(hashOf({x}), base) << "scope name";
+}
+
+TEST(TraceHashTest, SwappingAdjacentEventsChangesTheHash)
+{
+    const std::uint64_t base = hashOf(kFourEvents);
+    for (std::size_t i = 0; i + 1 < kFourEvents.size(); ++i) {
+        std::vector<Ev> swapped = kFourEvents;
+        std::swap(swapped[i], swapped[i + 1]);
+        EXPECT_NE(hashOf(swapped), base) << "swap " << i;
+    }
+}
+
+TEST(TraceHashTest, StepIsABijectionOfTheRunningHash)
+{
+    // For one fixed event, distinct running hashes must stay distinct:
+    // a divergence is never absorbed by a later event. A fifth of the
+    // starting states are fully random; the rest differ from one base
+    // only within one 16-bit window, the small differences a lossy
+    // step would most easily drop.
+    std::mt19937_64 rng(20041009);
+    const std::uint64_t base = rng();
+    const std::uint64_t masks[] = {~std::uint64_t{0}, 0xffffull,
+                                   0xffffull << 16, 0xffffull << 32,
+                                   0xffffull << 48};
+    std::set<std::uint64_t> starts;
+    for (std::size_t i = 0; starts.size() < 10000; ++i)
+        starts.insert(base ^ (rng() & masks[i % 5]));
+    std::set<std::uint64_t> results;
+    sim::TraceSink sink(false);
+    const Ev &e = kFourEvents[0];
+    const std::uint16_t s = sink.scope(e.scope);
+    for (std::uint64_t h : starts) {
+        sink.restoreHash(h, 0);
+        sink.emit(e.ts, s, e.type, e.a0, e.a1, e.f);
+        results.insert(sink.hash());
+    }
+    EXPECT_EQ(results.size(), starts.size());
+}
+
+TEST(TraceHashTest, RestoreHashContinuesTheStream)
+{
+    // restoreHash(hash(A), count(A)) followed by B equals A+B straight
+    // through, even though the second sink interns its scopes in a
+    // different order.
+    const std::vector<Ev> a(kFourEvents.begin(), kFourEvents.begin() + 2);
+    const std::vector<Ev> b(kFourEvents.begin() + 2, kFourEvents.end());
+    sim::TraceSink straight(false);
+    emitAll(straight, a);
+    const std::uint64_t hashA = straight.hash();
+    const std::uint64_t countA = straight.eventCount();
+    emitAll(straight, b);
+
+    sim::TraceSink resumed(false);
+    resumed.restoreHash(hashA, countA);
+    emitAll(resumed, b);
+    EXPECT_EQ(resumed.hash(), straight.hash());
+    EXPECT_EQ(resumed.eventCount(), straight.eventCount());
 }
 
 TEST(TraceSinkTest, UnattachedKernelTracesNothing)

@@ -275,6 +275,31 @@ TEST(SnapshotProperty, VersionBumpWithValidChecksumIsRejected)
     }
 }
 
+TEST(SnapshotProperty, Version2FileIsRejected)
+{
+    // v2 files hold trace hashes from the old byte-wise FNV event
+    // hash; resuming one would continue its ladder under a different
+    // function, so even a well-formed v2 file must be refused.
+    sim::Rng rng(0x0202);
+    std::string enc = snapshot::encodeSnapshot(fuzzSnapshot(rng));
+    ASSERT_GT(enc.size(), 16u);
+    enc[4] = char(2); // little-endian u32
+    const std::uint64_t sum =
+        snapshot::fnv1a64(enc.data(), enc.size() - 8);
+    for (int i = 0; i < 8; ++i)
+        enc[enc.size() - 8 + std::size_t(i)] =
+            char((sum >> (8 * i)) & 0xff);
+    try {
+        snapshot::decodeSnapshot(enc);
+        FAIL() << "v2 snapshot accepted";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported format version 2"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(SnapshotProperty, BadMagicIsRejected)
 {
     sim::Rng rng(0x1111);
