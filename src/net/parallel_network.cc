@@ -60,18 +60,6 @@ ParallelNetwork::start()
 }
 
 void
-ParallelNetwork::enableAirTrace(std::size_t capacity)
-{
-    trace_ = AirTraceRing(capacity);
-    exchange_.setSniffer([this](const radio::AirFlight &f,
-                                sim::Tick deliverAt) {
-        trace_.push(AirWord{deliverAt,
-                            shards_.at(f.srcNode)->node.name(), f.word,
-                            f.collided});
-    });
-}
-
-void
 ParallelNetwork::enableTracing(bool record)
 {
     tracing_ = true;
@@ -119,12 +107,8 @@ ParallelNetwork::sampleMetricsNow()
         aggregate_.mergeFrom(s->node.ctx().metrics);
     aggregate_.writeJsonl(out, now_, "all");
 
-    // "net": the shared-channel counters plus the sniffer-ring loss
-    // (words the bounded air-trace ring overwrote).
-    netScratch_.resetValues();
-    netScratch_.mergeFrom(exchange_.metrics());
-    netScratch_.counter("air.sniff_overwrites").set(trace_.overwrites());
-    netScratch_.writeJsonl(out, now_, "net");
+    // "net": the shared-channel counters.
+    exchange_.metrics().writeJsonl(out, now_, "net");
 
     metricsLastAt_ = now_;
 }

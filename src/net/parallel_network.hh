@@ -29,7 +29,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "node/node.hh"
@@ -44,68 +43,6 @@ struct NodeState;
 } // namespace snaple::snapshot
 
 namespace snaple::net {
-
-/** One sniffed on-air word. */
-struct AirWord
-{
-    sim::Tick at;
-    std::string from;
-    std::uint16_t word;
-    bool collided;
-};
-
-/**
- * Bounded ring of the most recent AirWords. Indexing is oldest-first
- * over the retained window; total() counts every word ever pushed.
- * Sniffing every word of a long run into an unbounded list is pure
- * memory growth, so the harness keeps at most the configured number
- * of most recent words, plus a total count.
- */
-class AirTraceRing
-{
-  public:
-    explicit AirTraceRing(std::size_t capacity = 4096)
-        : capacity_(capacity ? capacity : 1)
-    {}
-
-    void
-    push(AirWord w)
-    {
-        if (ring_.size() < capacity_) {
-            ring_.push_back(std::move(w));
-        } else {
-            ring_[head_] = std::move(w);
-            head_ = (head_ + 1) % capacity_;
-        }
-        ++total_;
-    }
-
-    /** Words currently retained (<= capacity()). */
-    std::size_t size() const { return ring_.size(); }
-    bool empty() const { return ring_.empty(); }
-    std::size_t capacity() const { return capacity_; }
-
-    /** Words ever pushed, including those the ring has dropped. */
-    std::uint64_t total() const { return total_; }
-
-    /** Words the ring overwrote (lost to the capacity bound). */
-    std::uint64_t overwrites() const { return total_ - ring_.size(); }
-
-    /** @p i = 0 is the oldest retained word. */
-    const AirWord &
-    operator[](std::size_t i) const
-    {
-        return ring_[(head_ + i) % ring_.size()];
-    }
-
-    const AirWord &back() const { return (*this)[ring_.size() - 1]; }
-
-  private:
-    std::size_t capacity_;
-    std::size_t head_ = 0; ///< index of the oldest element when full
-    std::uint64_t total_ = 0;
-    std::vector<AirWord> ring_;
-};
 
 /** A simulated network of SNAP/LE nodes, one kernel per node. */
 class ParallelNetwork
@@ -199,8 +136,6 @@ class ParallelNetwork
         exchange_.setField(cfg);
     }
 
-    bool fieldMode() const { return exchange_.fieldMode(); }
-
     /** Place node @p i at (@p xM, @p yM) meters. Before start(). */
     void
     setNodePosition(std::size_t i, double xM, double yM)
@@ -291,12 +226,6 @@ class ParallelNetwork
     std::uint64_t airDropsDead() const { return exchange_.dropsDead(); }
     ///@}
 
-    /** Offers the receiver missed in the wrong mode ("air.drops_mode"). */
-    std::uint64_t airDropsMode() const { return exchange_.dropsMode(); }
-
-    /** Offers lost to a full RX FIFO ("air.drops_fifo"). */
-    std::uint64_t airDropsFifo() const { return exchange_.dropsFifo(); }
-
     /** Field mode: (flight, in-range receiver) opportunities. */
     std::uint64_t airRxInRange() const { return exchange_.rxInRange(); }
 
@@ -311,14 +240,6 @@ class ParallelNetwork
     {
         return exchange_.pendingDeliveries();
     }
-
-    /**
-     * Sniff the air into a bounded ring of the @p capacity most recent
-     * words (off by default: sniffing a long run is pure memory
-     * growth). Timestamps are the unquantized delivery instants
-     * (start + airtime + propagation), independent of the window.
-     */
-    void enableAirTrace(std::size_t capacity = 4096);
 
     /**
      * Attach one TraceSink per shard (existing and future), so every
@@ -391,9 +312,6 @@ class ParallelNetwork
      *  after the last runFor(). */
     void finishFlows();
 
-    /** The air-trace ring; empty unless enableAirTrace() was called. */
-    const AirTraceRing &trace() const { return trace_; }
-
     node::SnapNode &node(std::size_t i) { return shards_.at(i)->node; }
     const node::SnapNode &node(std::size_t i) const
     {
@@ -422,13 +340,6 @@ class ParallelNetwork
     }
 
     unsigned jobs() const { return jobs_; }
-
-    /** Change the lane count; semantics are unaffected by design. */
-    void
-    setJobs(unsigned k)
-    {
-        jobs_ = k ? k : 1;
-    }
 
     /** Direct access to a shard's kernel (tests, host stimulus). */
     sim::Kernel &shardKernel(std::size_t i) { return shards_.at(i)->kernel; }
@@ -494,7 +405,6 @@ class ParallelNetwork
     std::vector<std::unique_ptr<Shard>> shards_;
     std::unique_ptr<sim::WorkerPool> pool_;
     std::function<void(sim::Tick)> barrierHook_;
-    AirTraceRing trace_;
     sim::Tick now_ = 0;
     sim::Tick window_ = 0;
     sim::Tick windowOverride_ = 0;
@@ -509,8 +419,7 @@ class ParallelNetwork
     sim::Tick metricsNext_ = 0;
     sim::Tick metricsLastAt_ = sim::kMaxTick; ///< last sample instant
     bool metricsMetaWritten_ = false;
-    sim::MetricsRegistry aggregate_;  ///< scratch for the "all" rows
-    sim::MetricsRegistry netScratch_; ///< scratch for the "net" rows
+    sim::MetricsRegistry aggregate_; ///< scratch for the "all" rows
 
     // Flow-span streaming (enableFlows). Coordinator-only state.
     std::ostream *flowsOut_ = nullptr;

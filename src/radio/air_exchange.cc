@@ -405,8 +405,6 @@ AirExchange::exchangeSingleCell(sim::Tick barrier, std::size_t firstFresh)
             pending_[kept++] = pending_[i];
             continue;
         }
-        if (sniffer_)
-            sniffer_(f, f.end + propagation_);
         if (f.collided) {
             collisions_->inc();
             continue;
@@ -554,8 +552,6 @@ AirExchange::exchangeField(sim::Tick barrier, std::size_t firstFresh)
                 collisions_->inc(); // garbled at this receiver
             }
         }
-        if (sniffer_)
-            sniffer_(f, f.end + propagation_);
     }
 
     // 3. Prune. An unresolved flight keeps every flight overlapping

@@ -98,12 +98,6 @@ class AirExchange
     using LinkFilter =
         std::function<bool(std::size_t src, std::size_t dst)>;
 
-    /** Observer of every resolved flight (air tracing). @p deliverAt
-     *  is start + airtime + propagation, the unquantized delivery
-     *  instant. */
-    using Sniffer =
-        std::function<void(const AirFlight &f, sim::Tick deliverAt)>;
-
     explicit AirExchange(sim::Tick propagation)
         : propagation_(propagation),
           wordsSent_(&registry_.counter("air.words_sent")),
@@ -123,7 +117,6 @@ class AirExchange
     void addShard(Medium *m);
 
     void setLinkFilter(LinkFilter f) { linkFilter_ = std::move(f); }
-    void setSniffer(Sniffer s) { sniffer_ = std::move(s); }
 
     /**
      * @name Spatial field mode
@@ -136,11 +129,6 @@ class AirExchange
      */
     ///@{
     void setField(const FieldConfig &cfg) { field_ = cfg; }
-    bool fieldMode() const { return field_.has_value(); }
-    const FieldConfig *fieldConfig() const
-    {
-        return field_ ? &*field_ : nullptr;
-    }
 
     /** Place node @p id at (@p xM, @p yM) meters. */
     void setPosition(std::size_t id, double xM, double yM);
@@ -165,13 +153,6 @@ class AirExchange
      */
     void setNodeDown(std::size_t id, bool down);
 
-    /** True when setNodeDown(id, true) is in effect. */
-    bool
-    nodeDown(std::size_t id) const
-    {
-        return id < down_.size() && down_[id];
-    }
-
     /**
      * Fault injection: take the (undirected) link between @p a and
      * @p b down or back up. Independent of the static LinkFilter: the
@@ -195,12 +176,6 @@ class AirExchange
 
     /** Deliveries suppressed by a dead receiver ("air.drops_dead"). */
     std::uint64_t dropsDead() const { return dropsDead_->value(); }
-
-    /** Offers the receiver missed in the wrong mode ("air.drops_mode"). */
-    std::uint64_t dropsMode() const { return dropsMode_->value(); }
-
-    /** Offers lost to a full RX FIFO ("air.drops_fifo"). */
-    std::uint64_t dropsFifo() const { return dropsFifo_->value(); }
 
     /** Field mode: (flight, in-range receiver) opportunities. */
     std::uint64_t rxInRange() const { return rxInRange_->value(); }
@@ -266,7 +241,7 @@ class AirExchange
     /** @name Snapshot support (src/snapshot/)
      * Coordinator-side air state, saved at a barrier right after
      * exchangeAt() (outboxes drained, outcomes folded). Field
-     * geometry, the link filter and the sniffer are reconstructed
+     * geometry and the link filter are reconstructed
      * from the scenario, not serialized. */
     ///@{
     struct SavedState
@@ -321,7 +296,6 @@ class AirExchange
     sim::MetricCounter *rxInRange_;
     std::uint64_t offersOutstanding_ = 0;
     LinkFilter linkFilter_;
-    Sniffer sniffer_;
 
     // Field mode (spatial cell sharding).
     std::optional<FieldConfig> field_;

@@ -10,6 +10,7 @@
 
 #include "sim/logging.hh"
 #include "sim/metrics.hh" // formatDouble: canonical shortest doubles
+#include "sim/ticks.hh"
 
 namespace snaple::scenario {
 
@@ -110,6 +111,22 @@ parseF64(const Ctx &c, const std::string &t, const char *what)
     const double v = parseSignedF64(c, t, what);
     if (!(v >= 0))
         c.fail(what, " must be non-negative, got '", t, "'");
+    return v;
+}
+
+/**
+ * A time in @p unit ticks (kMillisecond or kMicrosecond): non-negative
+ * and below 2^63 ticks (about 9.2e9 ms), so the runner's llround()
+ * conversion to ticks is defined.
+ */
+double
+parseTime(const Ctx &c, const std::string &t, const char *what,
+          sim::Tick unit)
+{
+    const double v = parseF64(c, t, what);
+    if (!sim::timeInRange(v, unit))
+        c.fail("time ", what, " must be below 2^63 ps (about 9.2e9 ms),"
+               " got '", t, "'");
     return v;
 }
 
@@ -270,7 +287,7 @@ parseFaultLine(const Ctx &c, Scenario &sc,
     }
     if (t[timeAt] != "at_ms")
         c.fail("expected 'at_ms', got '", t[timeAt], "'");
-    f.atMs = parseF64(c, t[timeAt + 1], "for at_ms");
+    f.atMs = parseTime(c, t[timeAt + 1], "for at_ms", sim::kMillisecond);
     sc.faults.push_back(f);
 }
 
@@ -284,7 +301,7 @@ parseCheckpointLine(const Ctx &c, Scenario &sc,
     if (t[1] != "at_ms")
         c.fail("expected 'at_ms', got '", t[1], "'");
     Checkpoint ck;
-    ck.atMs = parseF64(c, t[2], "for at_ms");
+    ck.atMs = parseTime(c, t[2], "for at_ms", sim::kMillisecond);
     if (t.size() == 4)
         ck.path = t[3];
     sc.checkpoints.push_back(ck);
@@ -430,16 +447,21 @@ parseScenario(const std::string &text, const std::string &origin)
         } else if (d == "seed") {
             sc.seed = parseU64(c, t[1], "seed");
         } else if (d == "duration_ms") {
-            sc.durationMs = parseF64(c, t[1], "for duration_ms");
+            sc.durationMs =
+                parseTime(c, t[1], "for duration_ms", sim::kMillisecond);
             sawDuration = true;
         } else if (d == "metrics_ms") {
-            sc.metricsMs = parseF64(c, t[1], "for metrics_ms");
+            sc.metricsMs =
+                parseTime(c, t[1], "for metrics_ms", sim::kMillisecond);
         } else if (d == "propagation_us") {
-            sc.propagationUs = parseF64(c, t[1], "for propagation_us");
+            sc.propagationUs = parseTime(c, t[1], "for propagation_us",
+                                         sim::kMicrosecond);
         } else if (d == "window_us") {
-            sc.windowUs = parseF64(c, t[1], "for window_us");
+            sc.windowUs =
+                parseTime(c, t[1], "for window_us", sim::kMicrosecond);
         } else if (d == "flow_window_ms") {
-            sc.flowWindowMs = parseF64(c, t[1], "for flow_window_ms");
+            sc.flowWindowMs = parseTime(c, t[1], "for flow_window_ms",
+                                        sim::kMillisecond);
         } else {
             c.fail("unknown directive '", d, "'");
         }

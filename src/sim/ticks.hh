@@ -12,6 +12,7 @@
 #define SNAPLE_SIM_TICKS_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 
 namespace snaple::sim {
@@ -32,6 +33,31 @@ inline constexpr Tick kSecond = 1000 * kMillisecond;
 
 /** Sentinel for "run forever". */
 inline constexpr Tick kMaxTick = std::numeric_limits<Tick>::max();
+
+/**
+ * True when @p v, a time in units of @p unit ticks, is non-negative,
+ * finite and below 2^63 ticks (about 9.2e9 ms): the range on which the
+ * conversions below and std::llround() are defined. Checked wherever a
+ * time arrives from outside (scenario files, command-line options).
+ */
+constexpr bool
+timeInRange(double v, Tick unit)
+{
+    return v >= 0 && v * static_cast<double>(unit) < 0x1p63;
+}
+
+/**
+ * Parse @p text, a command-line time in units of @p unit ticks, into
+ * @p out. False unless the whole text is a number timeInRange()
+ * accepts.
+ */
+inline bool
+parseTimeArg(const char *text, Tick unit, double &out)
+{
+    char *end = nullptr;
+    out = std::strtod(text, &end);
+    return end != text && *end == '\0' && timeInRange(out, unit);
+}
 
 /** Convert a floating-point nanosecond count to ticks (rounds to nearest). */
 constexpr Tick

@@ -16,6 +16,7 @@
 #include "net/crc.hh"
 #include "net/parallel_network.hh"
 #include "net/secded.hh"
+#include "obs/flow.hh"
 #include "sim/rng.hh"
 
 namespace {
@@ -49,10 +50,12 @@ TEST_P(StackEquivalence, SnapAvrAndHostAgreeOnRandomMessages)
     ParallelNetwork net;
     auto &tx = net.addNode(cfgFor("tx"),
                            assembleSnap(apps::radioStackProgram(msg)));
-    net.enableAirTrace();
+    tx.flowTracker().setRecording(true);
     net.start();
     net.runFor(100 * sim::kMillisecond);
-    ASSERT_EQ(net.trace().size(), msg.size() + 1);
+    std::vector<obs::SpanRecord> spans;
+    tx.flowTracker().drainSpans(spans);
+    ASSERT_EQ(spans.size(), msg.size() + 1);
 
     // AVR: bytes through the SPI.
     sim::Kernel k;
@@ -69,13 +72,13 @@ TEST_P(StackEquivalence, SnapAvrAndHostAgreeOnRandomMessages)
 
     for (std::size_t i = 0; i < msg.size(); ++i) {
         std::uint16_t host_cw = net::secdedEncode(msg[i]);
-        EXPECT_EQ(net.trace()[i].word, host_cw) << "snap byte " << i;
+        EXPECT_EQ(spans[i].word, host_cw) << "snap byte " << i;
         std::uint16_t avr_cw = static_cast<std::uint16_t>(
             spi[2 * i] | (spi[2 * i + 1] << 8));
         EXPECT_EQ(avr_cw, host_cw) << "avr byte " << i;
     }
     std::uint16_t host_crc = net::crc16(msg);
-    EXPECT_EQ(net.trace().back().word, host_crc);
+    EXPECT_EQ(spans.back().word, host_crc);
     std::uint16_t avr_crc = static_cast<std::uint16_t>(
         spi[spi.size() - 2] | (spi.back() << 8));
     EXPECT_EQ(avr_crc, host_crc);

@@ -13,6 +13,7 @@
 #include "net/crc.hh"
 #include "net/parallel_network.hh"
 #include "net/secded.hh"
+#include "obs/flow.hh"
 #include "sensor/sensor.hh"
 
 namespace {
@@ -226,20 +227,22 @@ TEST(AppsStackTest, RadioStackMatchesHostCodecs)
     ParallelNetwork net;
     auto &tx = net.addNode(cfgFor("tx"),
                            assembleSnap(apps::radioStackProgram(msg)));
-    net.enableAirTrace();
+    tx.flowTracker().setRecording(true);
     net.start();
     net.runFor(50 * sim::kMillisecond);
 
     // Expected: one SEC-DED codeword per byte, then the CRC-16.
-    ASSERT_EQ(net.trace().size(), msg.size() + 1);
+    std::vector<obs::SpanRecord> spans;
+    tx.flowTracker().drainSpans(spans);
+    ASSERT_EQ(spans.size(), msg.size() + 1);
     for (std::size_t i = 0; i < msg.size(); ++i) {
-        EXPECT_EQ(net.trace()[i].word, net::secdedEncode(msg[i]))
+        EXPECT_EQ(spans[i].word, net::secdedEncode(msg[i]))
             << "byte " << i;
-        auto dec = net::secdedDecode(net.trace()[i].word);
+        auto dec = net::secdedDecode(spans[i].word);
         EXPECT_EQ(dec.status, net::SecdedStatus::Ok);
         EXPECT_EQ(dec.data, msg[i]);
     }
-    EXPECT_EQ(net.trace().back().word, net::crc16(msg));
+    EXPECT_EQ(spans.back().word, net::crc16(msg));
     // The guest reported the same CRC on its debug port.
     ASSERT_EQ(tx.core().debugOut().size(), 1u);
     EXPECT_EQ(tx.core().debugOut()[0], net::crc16(msg));

@@ -80,7 +80,6 @@ runMetrics(unsigned jobs)
         node::SnapNode &n = net.addNode(cfg, prog);
         n.core().enableProfile(true);
     }
-    net.enableAirTrace(/*capacity=*/8); // force some ring overwrites
     std::ostringstream out;
     net.enableMetrics(out, 10 * sim::kMillisecond);
     net.start();

@@ -5,8 +5,8 @@
  * The parallel harness promises that worker count is invisible to the
  * simulation: per-node trace hashes, air statistics and delivery
  * orders must be bit-identical for any --jobs. These tests pin that
- * contract, the deterministic equal-tick cross-shard merge order, the
- * bounded air-trace ring, and the per-node seed derivation.
+ * contract, the deterministic equal-tick cross-shard merge order and
+ * the per-node seed derivation.
  */
 
 #include <gtest/gtest.h>
@@ -248,23 +248,6 @@ TEST(ParallelNetworkTest, OverlappingCrossShardTransmissionsCollide)
     EXPECT_EQ(net.stats().collisions, 2u);
     EXPECT_EQ(net.stats().wordsDelivered, 0u);
     EXPECT_TRUE(rx.core().debugOut().empty());
-}
-
-TEST(AirTraceRingTest, RetainsOnlyTheMostRecentWordsOver100kPushes)
-{
-    // Regression for the old unbounded Network::trace_ growth: 100k
-    // sniffed words must occupy at most `capacity` slots.
-    net::AirTraceRing ring(256);
-    for (std::uint32_t i = 0; i < 100000; ++i)
-        ring.push(net::AirWord{i, "n", static_cast<std::uint16_t>(i),
-                               false});
-    EXPECT_EQ(ring.size(), 256u);
-    EXPECT_EQ(ring.capacity(), 256u);
-    EXPECT_EQ(ring.total(), 100000u);
-    // Oldest-first indexing over the retained window.
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        EXPECT_EQ(ring[i].at, 100000u - 256u + i);
-    EXPECT_EQ(ring.back().at, 99999u);
 }
 
 TEST(DeriveSeedTest, IsPureAndInsensitiveToRegistrationOrder)

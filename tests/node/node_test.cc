@@ -8,6 +8,7 @@
 
 #include "asm/snap_backend.hh"
 #include "net/parallel_network.hh"
+#include "obs/flow.hh"
 #include "sensor/sensor.hh"
 
 namespace {
@@ -67,7 +68,7 @@ TEST(NodeTest, WordByWordRadioTransferBetweenTwoNodes)
     rxc.core.stopOnHalt = false;
     auto &tx = net.addNode(txc, assembleSnap(kTxProgram));
     auto &rx = net.addNode(rxc, assembleSnap(kRxProgram));
-    net.enableAirTrace();
+    tx.flowTracker().setRecording(true);
     net.start();
     net.runFor(10 * sim::kMillisecond);
 
@@ -79,10 +80,12 @@ TEST(NodeTest, WordByWordRadioTransferBetweenTwoNodes)
     // Both cores end up asleep, not halted.
     EXPECT_TRUE(tx.core().asleep());
     EXPECT_TRUE(rx.core().asleep());
-    // The air trace recorded all three words.
-    ASSERT_EQ(net.trace().size(), 3u);
-    EXPECT_EQ(net.trace()[0].from, "tx");
-    EXPECT_EQ(net.trace()[0].word, 0x1000);
+    // The transmitter's flow spans log all three words.
+    std::vector<obs::SpanRecord> spans;
+    tx.flowTracker().drainSpans(spans);
+    ASSERT_EQ(spans.size(), 3u);
+    EXPECT_EQ(spans[0].node, 0u);
+    EXPECT_EQ(spans[0].word, 0x1000);
 }
 
 TEST(NodeTest, TxRdyEventsPaceTheTransmitter)

@@ -7,8 +7,11 @@
  * the energest duty ledger matches hand-computed radio accounting.
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,15 +27,21 @@ namespace {
 using namespace snaple;
 using assembler::assembleSnap;
 
-std::string
+struct FlowRun
+{
+    std::string flows; ///< the span stream, one JSONL line per span
+    scenario::RunResult result;
+};
+
+FlowRun
 runFlows(const scenario::Scenario &sc, unsigned jobs)
 {
     std::ostringstream flows;
     scenario::RunOptions opt;
     opt.jobs = jobs;
     opt.flowsOut = &flows;
-    scenario::runScenario(sc, opt);
-    return flows.str();
+    scenario::RunResult result = scenario::runScenario(sc, opt);
+    return {flows.str(), std::move(result)};
 }
 
 class SpanStreamGolden : public ::testing::TestWithParam<const char *>
@@ -45,12 +54,17 @@ TEST_P(SpanStreamGolden, StreamIsJobsInvariant)
         root + "/examples/scenarios/" + GetParam() + ".scn");
     ASSERT_GT(sc.flowWindowMs, 0) << "scenario lost its flow window";
 
-    const std::string j1 = runFlows(sc, 1);
-    EXPECT_FALSE(j1.empty());
+    const FlowRun j1 = runFlows(sc, 1);
+    EXPECT_FALSE(j1.flows.empty());
     // Causal linking crossed at least one radio hop.
-    EXPECT_NE(j1.find("\"hop\":1,"), std::string::npos);
-    EXPECT_EQ(j1, runFlows(sc, 2));
-    EXPECT_EQ(j1, runFlows(sc, 4));
+    EXPECT_NE(j1.flows.find("\"hop\":1,"), std::string::npos);
+    // The stream is the complete per-word air log: one span per word
+    // sent, collided words included.
+    EXPECT_EQ(static_cast<std::uint64_t>(
+                  std::count(j1.flows.begin(), j1.flows.end(), '\n')),
+              j1.result.air.wordsSent);
+    EXPECT_EQ(j1.flows, runFlows(sc, 2).flows);
+    EXPECT_EQ(j1.flows, runFlows(sc, 4).flows);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shipped, SpanStreamGolden,

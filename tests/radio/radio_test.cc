@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "air_rig.hh"
+#include "obs/flow.hh"
 
 namespace {
 
@@ -232,12 +233,13 @@ TEST(RadioTest, BackToBackWordsSpaceByAirtime)
     AirRig r;
     const std::size_t a = r.add();
     r.add(Guest::Listener);
-    r.net.enableAirTrace();
+    r.net.node(a).flowTracker().setRecording(true);
     r.send(a, {1, 2});
     r.run(5 * sim::kMillisecond);
-    ASSERT_EQ(r.net.trace().size(), 2u);
-    EXPECT_NEAR(sim::toUs(r.net.trace()[1].at - r.net.trace()[0].at),
-                833.3, 1.0);
+    std::vector<obs::SpanRecord> spans;
+    r.net.node(a).flowTracker().drainSpans(spans);
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_NEAR(sim::toUs(spans[1].txTick - spans[0].txTick), 833.3, 1.0);
 }
 
 } // namespace

@@ -76,10 +76,11 @@ on_rx:
 
 struct Rig
 {
-    net::ParallelNetwork net{1 * sim::kMicrosecond, /*jobs=*/2};
+    net::ParallelNetwork net;
 
     explicit Rig(const char *txProg = kBeacon,
-                 const char *rxProg = kListener)
+                 const char *rxProg = kListener, unsigned jobs = 2)
+        : net(1 * sim::kMicrosecond, jobs)
     {
         const assembler::Program tx =
             assembler::assembleSnap(txProg, "tx.s");
@@ -218,8 +219,7 @@ TEST(FaultInjection, FaultsAreJobsInvariant)
     // same traces for any lane count — faults are part of the
     // deterministic cross-shard contract.
     auto runOnce = [](unsigned jobs) {
-        Rig rig;
-        rig.net.setJobs(jobs);
+        Rig rig(kBeacon, kListener, jobs);
         rig.net.runFor(5 * rig.net.window());
         rig.net.setLinkUp(0, 1, false);
         rig.net.runFor(5 * rig.net.window());

@@ -143,6 +143,26 @@ TEST(ScenarioParser, RejectsWithLineNumbers)
     expectRejects(ok + "fault melt 0 at_ms 1\n", "bad.scn:4");
     expectRejects(ok + "fault kill 0 at 1\n", "bad.scn:4");
     expectRejects(ok + "duration_ms -5\n", "bad.scn:4");
+    // Times are bounded (below 2^63 ps): a value whose tick count
+    // does not fit fails at its line instead of running unbounded.
+    const std::string noDuration = "nodes 2\nnode * program p.s\n"
+                                   "seed 1\n";
+    const std::string limit = "must be below 2^63 ps";
+    for (const char *bad :
+         {"duration_ms 1e300\n", "duration_ms 18446744073709551615\n",
+          "duration_ms 9223372037\n", "metrics_ms 1e10\n",
+          "flow_window_ms 99999999999999999999\n",
+          "propagation_us 1e13\n", "window_us 1e13\n",
+          "fault kill 0 at_ms 1e300\n", "checkpoint at_ms 1e300\n"}) {
+        expectRejects(noDuration + bad, "bad.scn:4: time for ");
+        expectRejects(noDuration + bad, limit);
+    }
+    expectRejects(noDuration + "duration_ms inf\n", "bad.scn:4");
+    expectRejects(noDuration + "duration_ms nan\n", "bad.scn:4");
+    EXPECT_EQ(parseScenario(noDuration + "duration_ms 9223372036\n",
+                            "max.scn")
+                  .durationMs,
+              9223372036.0);
     // Node counts are bounded (2^20): a huge count fails at parse time
     // with its location instead of building a network that never ends.
     expectRejects("duration_ms 5\nnode * program p.s\nnodes 4000000000\n",

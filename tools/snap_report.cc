@@ -392,12 +392,10 @@ printAir(const Report &r)
     auto net = r.nodes.find("net");
     if (net == r.nodes.end())
         return;
-    std::printf("air: %.0f words sent, %.0f delivered, %.0f collided, "
-                "%.0f sniff-ring overwrites\n",
+    std::printf("air: %.0f words sent, %.0f delivered, %.0f collided\n",
                 r.value("net", "air.words_sent"),
                 r.value("net", "air.words_delivered"),
-                r.value("net", "air.collisions"),
-                r.value("net", "air.sniff_overwrites"));
+                r.value("net", "air.collisions"));
 }
 
 /**

@@ -87,6 +87,7 @@
 #include "node/power.hh"
 #include "radio/transceiver.hh"
 #include "scenario/runner.hh"
+#include "sim/ticks.hh"
 #include "sim/trace.hh"
 #include "snapshot/snapshot.hh"
 
@@ -144,6 +145,16 @@ struct MetricsPump
     }
 };
 
+/** Report a malformed time option; returns the usage-error status. */
+int
+badTime(const char *option, const char *arg)
+{
+    std::fprintf(stderr, "%s needs a non-negative number of ms below "
+                         "2^63 ps (about 9.2e9 ms), got '%s'\n",
+                 option, arg);
+    return 2;
+}
+
 /** Parse a comma-separated voltage list ("1.8,0.9,0.6"). */
 std::vector<double>
 parseVolts(const char *arg)
@@ -196,8 +207,10 @@ main(int argc, char **argv)
             fidelity_arg = argv[++i];
         else if (!std::strncmp(argv[i], "--cal=", 6))
             cal_path = argv[i] + 6;
-        else if (!std::strcmp(argv[i], "--ms") && i + 1 < argc)
-            ms = std::atof(argv[++i]);
+        else if (!std::strcmp(argv[i], "--ms") && i + 1 < argc) {
+            if (!sim::parseTimeArg(argv[++i], sim::kMillisecond, ms))
+                return badTime("--ms", argv[i]);
+        }
         else if (!std::strcmp(argv[i], "--nodes") && i + 1 < argc)
             nodes = static_cast<unsigned>(std::atoi(argv[++i]));
         else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
@@ -224,8 +237,12 @@ main(int argc, char **argv)
             scenario_path = argv[i] + 11;
         else if (!std::strncmp(argv[i], "--row=", 6))
             row_path = argv[i] + 6;
-        else if (!std::strncmp(argv[i], "--save-at=", 10))
-            save_at.push_back(std::atof(argv[i] + 10));
+        else if (!std::strncmp(argv[i], "--save-at=", 10)) {
+            double at = 0;
+            if (!sim::parseTimeArg(argv[i] + 10, sim::kMillisecond, at))
+                return badTime("--save-at", argv[i] + 10);
+            save_at.push_back(at);
+        }
         else if (!std::strncmp(argv[i], "--save=", 7))
             save_path = argv[i] + 7;
         else if (!std::strncmp(argv[i], "--restore=", 10))

@@ -18,6 +18,7 @@
 #include "asm/snap_backend.hh"
 #include "cc/codegen.hh"
 #include "core/machine.hh"
+#include "sim/ticks.hh"
 
 int
 main(int argc, char **argv)
@@ -34,8 +35,15 @@ main(int argc, char **argv)
             opts.optimize = true;
         else if (!std::strcmp(argv[i], "--run"))
             run = true;
-        else if (!std::strcmp(argv[i], "--ms") && i + 1 < argc)
-            ms = std::atof(argv[++i]);
+        else if (!std::strcmp(argv[i], "--ms") && i + 1 < argc) {
+            if (!sim::parseTimeArg(argv[++i], sim::kMillisecond, ms)) {
+                std::fprintf(stderr, "--ms needs a non-negative number "
+                                     "of ms below 2^63 ps (about "
+                                     "9.2e9 ms), got '%s'\n",
+                             argv[i]);
+                return 2;
+            }
+        }
         else if (!std::strcmp(argv[i], "--volts") && i + 1 < argc)
             volts = std::atof(argv[++i]);
         else if (argv[i][0] == '-') {
