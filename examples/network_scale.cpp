@@ -8,7 +8,7 @@
  * collisions, drops and energy — the regime SNAP/LE's event queue and
  * CSMA MAC were designed for.
  *
- * Build & run:  ./build/examples/network_scale [--jobs K]
+ * Build & run:  ./build/examples/network_scale [--jobs K]   (K in 1..256)
  *
  * With --jobs > 1 the line is simulated on the sharded parallel
  * engine (net::ParallelNetwork) — results are bit-identical to the
@@ -17,7 +17,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "asm/snap_backend.hh"
 #include "net/parallel_network.hh"
 #include "node/power.hh"
+#include "sim/args.hh"
 
 namespace {
 
@@ -125,12 +125,16 @@ main(int argc, char **argv)
 {
     unsigned jobs = 1;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-        else {
-            std::fprintf(stderr, "usage: network_scale [--jobs K]\n");
+        if (std::strcmp(argv[i], "--jobs") || i + 1 == argc) {
+            std::fprintf(stderr, "usage: network_scale [--jobs K] "
+                                 "(K in 1..256)\n");
             return 2;
         }
+        std::uint64_t v = 0;
+        if (!sim::parseCountArg(argv[++i], 1, sim::kMaxJobs, v))
+            return sim::badArg("--jobs", "an integer from 1 to 256",
+                               argv[i]);
+        jobs = static_cast<unsigned>(v);
     }
     const double seconds = 20.0;
     std::printf("eight-node line, three periodic senders -> one sink, "

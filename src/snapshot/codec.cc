@@ -88,22 +88,11 @@ Reader::count(std::size_t elemBytes)
 std::string
 Reader::str()
 {
-    std::uint64_t n = count(1);
+    std::uint64_t n = count(sizeof(char));
     need(static_cast<std::size_t>(n));
     std::string s(data_.substr(pos_, static_cast<std::size_t>(n)));
     pos_ += static_cast<std::size_t>(n);
     return s;
-}
-
-std::vector<std::uint16_t>
-Reader::u16vec()
-{
-    std::uint64_t n = count(2);
-    std::vector<std::uint16_t> v;
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(u16());
-    return v;
 }
 
 } // namespace snaple::snapshot

@@ -8,6 +8,10 @@
  * Containers are length-prefixed. Reader is fully bounds-checked and
  * throws sim::FatalError on any truncation or overrun — corrupt input
  * can reject, never crash (tests/snapshot runs it under ASan/UBSan).
+ *
+ * Writer and Reader answer the same calls — Writer::u64(v) writes v,
+ * Reader::u64(v) reads into v — so one field walk, templated on the
+ * archive, serves both directions (src/snapshot/snapshot.cc).
  */
 
 #ifndef SNAPLE_SNAPSHOT_CODEC_HH
@@ -17,6 +21,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace snaple::snapshot {
@@ -75,9 +80,18 @@ class Writer
     void
     u16vec(const std::vector<std::uint16_t> &v)
     {
+        seq(v, [](auto &a, auto &w) { a.u16(w); });
+    }
+
+    /** A length-prefixed container: the size, then @p fn(*this, e)
+     *  for each element — the walk Reader::seq replays. */
+    template <class T, class Fn>
+    void
+    seq(const std::vector<T> &v, Fn fn)
+    {
         u64(v.size());
-        for (std::uint16_t w : v)
-            u16(w);
+        for (const T &e : v)
+            fn(*this, e);
     }
 
     const std::string &bytes() const { return buf_; }
@@ -86,6 +100,20 @@ class Writer
   private:
     std::string buf_;
 };
+
+/**
+ * Bytes @p fn writes for one value-initialised T: the least any T can
+ * take on the wire, so the floor a count of Ts is checked against.
+ */
+template <class T, class Fn>
+std::size_t
+encodedSize(Fn fn)
+{
+    Writer w;
+    const T e{};
+    fn(w, e);
+    return w.bytes().size();
+}
 
 /** Bounds-checked decoder; throws sim::FatalError on overrun. */
 class Reader
@@ -100,7 +128,46 @@ class Reader
     bool b();
     double f64();
     std::string str();
-    std::vector<std::uint16_t> u16vec();
+
+    std::vector<std::uint16_t>
+    u16vec()
+    {
+        std::vector<std::uint16_t> v;
+        u16vec(v);
+        return v;
+    }
+
+    // In-place forms, the Writer's calls mirrored for field walks.
+    void u8(std::uint8_t &v) { v = u8(); }
+    void u16(std::uint16_t &v) { v = u16(); }
+    void u32(std::uint32_t &v) { v = u32(); }
+    void u64(std::uint64_t &v) { v = u64(); }
+    void b(bool &v) { v = b(); }
+    void f64(double &v) { v = f64(); }
+    void str(std::string &s) { s = str(); }
+
+    void
+    u16vec(std::vector<std::uint16_t> &v)
+    {
+        seq(v, [](auto &a, auto &w) { a.u16(w); });
+    }
+
+    /**
+     * A length-prefixed container written by Writer::seq with the same
+     * @p fn. The count is checked against encodedSize<T>(fn) before
+     * anything is reserved, so a hostile prefix cannot make the vector
+     * outgrow the input by more than sizeof(T) / encodedSize<T>(fn).
+     */
+    template <class T, class Fn>
+    void
+    seq(std::vector<T> &v, Fn fn)
+    {
+        const std::uint64_t n = count(encodedSize<T>(fn));
+        v.clear();
+        v.reserve(static_cast<std::size_t>(n));
+        for (std::uint64_t i = 0; i < n; ++i)
+            fn(*this, v.emplace_back());
+    }
 
     /** Remaining unread bytes (0 at a clean end of payload). */
     std::size_t remaining() const { return data_.size() - pos_; }

@@ -144,7 +144,9 @@ TEST(CodecTest, TruncatedReadThrows)
     w.str("hello");
     const std::string full = w.bytes();
     for (std::size_t len = 0; len < full.size(); ++len) {
-        Reader r(full.substr(0, len));
+        // A view into `full`: a Reader does not own its bytes, so a
+        // temporary substr() would leave it dangling.
+        Reader r(std::string_view(full).substr(0, len));
         EXPECT_THROW(
             {
                 r.u64();

@@ -3,10 +3,13 @@
  * Snapshot format properties on fuzzed NetworkSnapshot values:
  * serialize∘parse is a byte fixed point, every truncated prefix and
  * every corrupted byte is rejected with sim::FatalError (never UB —
- * this suite runs under ASan/UBSan in CI), and a version bump with a
- * recomputed checksum is refused as unsupported.
+ * this suite runs under ASan/UBSan in CI), a version bump with a
+ * recomputed checksum is refused as unsupported, a hostile length
+ * prefix is refused before anything is allocated for it, and the
+ * encoding of one fixed value is pinned across builds.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,6 +46,18 @@ fuzzInstrument(sim::Rng &rng, int i)
     return m;
 }
 
+obs::FlowTag
+fuzzTag(sim::Rng &rng)
+{
+    obs::FlowTag t;
+    t.origin = std::uint32_t(rng.next() % 64);
+    t.id = std::uint32_t(rng.next());
+    t.src = std::uint32_t(rng.next() % 64);
+    t.hop = std::uint16_t(1 + rng.next() % 8);
+    t.valid = rng.chance(0.7);
+    return t;
+}
+
 NodeState
 fuzzNode(sim::Rng &rng)
 {
@@ -64,44 +79,74 @@ fuzzNode(sim::Rng &rng)
     ns.core.halted = ns.halted;
     ns.core.asleep = !ns.halted;
     ns.core.currentEvent = std::uint8_t(rng.next());
+    ns.core.fidelity = std::uint8_t(1 + rng.next() % 2);
+    ns.core.pendingFidelity = std::uint8_t(1 + rng.next() % 2);
     ns.core.fastPc = rng.uniform16();
-    for (int i = 0, n = int(rng.next() % 9); i < n; ++i)
+    ns.core.recordTimeline = rng.chance(0.7);
+    for (int i = 0, n = 1 + int(rng.next() % 8); i < n; ++i)
         ns.core.debugOut.push_back(rng.uniform16());
-    ns.core.stats.instructions = rng.next();
-    ns.core.stats.sleeps = rng.next();
-    ns.core.stats.activeTime = rng.next() % (1u << 30);
+    for (int i = 0, n = 1 + int(rng.next() % 3); i < n; ++i)
+        ns.core.timeline.push_back(core::SnapCore::ActivitySpan{
+            rng.next() % (1u << 30), rng.next() % (1u << 30),
+            std::uint8_t(rng.next() % 7)});
+    auto &st = ns.core.stats;
+    st.instructions = rng.next();
+    for (std::uint64_t &v : st.perClass)
+        v = rng.next();
+    for (sim::Tick &v : st.perClassTicks)
+        v = rng.next() % (1u << 30);
+    for (double &v : st.perClassPj)
+        v = rng.uniform01() * 1e9;
+    st.wordsFetched = rng.next();
+    st.handlers = rng.next();
+    st.sleeps = rng.next();
+    st.wakeups = rng.next();
+    st.activeTime = rng.next() % (1u << 30);
+    st.lastWake = rng.next() % (1u << 30);
+    st.lastSleepStart = rng.next() % (1u << 30);
+    for (auto &h : st.perEvent)
+        h = {rng.next(), rng.next()};
+    for (sim::Tick &v : st.handlerTicks)
+        v = rng.next() % (1u << 30);
 
     for (int i = 0, n = 16 + int(rng.next() % 64); i < n; ++i) {
         ns.imem.push_back(rng.uniform16());
         ns.dmem.push_back(rng.uniform16());
     }
-    for (int i = 0, n = int(rng.next() % 5); i < n; ++i)
+    for (int i = 0, n = 1 + int(rng.next() % 4); i < n; ++i)
         ns.evq.tokens.push_back(snapshot::EventTokenRec{
             std::uint8_t(rng.next() % 7), rng.next() % (1u << 30)});
     ns.evq.accepted = rng.next();
     ns.evq.dropped = rng.next();
-    for (int i = 0, n = int(rng.next() % 5); i < n; ++i) {
+    for (int i = 0, n = 1 + int(rng.next() % 4); i < n; ++i) {
         ns.msgIn.words.push_back(rng.uniform16());
         ns.msgOut.words.push_back(rng.uniform16());
         ns.radioRx.words.push_back(rng.uniform16());
     }
-    ns.msgIn.accepted = rng.next();
-    ns.msgOut.dropped = rng.next();
+    for (snapshot::FifoState *f : {&ns.msgIn, &ns.msgOut, &ns.radioRx}) {
+        f->accepted = rng.next();
+        f->dropped = rng.next();
+    }
 
     for (auto &t : ns.timers) {
         t.armed = rng.chance(0.5);
         t.stagedHi = std::uint8_t(rng.next());
         t.generation = rng.next();
     }
-    for (int i = 0, n = int(rng.next() % 4); i < n; ++i)
+    for (int i = 0, n = 1 + int(rng.next() % 3); i < n; ++i)
         ns.timerExpires.push_back(coproc::TimerCoproc::ExpireRec{
-            std::uint8_t(rng.next() % 3), rng.next(),
+            std::uint8_t(1 + rng.next() % 2), rng.next(),
             rng.next() % (1u << 30), rng.next()});
-    ns.msg.cmdPhase = std::uint8_t(rng.next() % 3);
-    ns.msg.rxPhase = std::uint8_t(rng.next() % 2);
+    ns.msg.cmdPhase = std::uint8_t(1 + rng.next() % 2);
+    ns.msg.rxPhase = 1;
     ns.msg.pendingWord = rng.uniform16();
+    ns.msg.rxWord = rng.uniform16();
     ns.msg.waitEnd = rng.next() % (1u << 30);
     ns.msg.waitSeq = rng.next();
+    ns.msg.waitArg = std::uint8_t(1 + rng.next() % 255);
+    ns.msg.cmdStamp = rng.next();
+    ns.msg.rxStamp = rng.next();
+    ns.msg.blockSeq = rng.next();
 
     ns.hasRadio = rng.chance(0.8);
     if (ns.hasRadio) {
@@ -109,14 +154,14 @@ fuzzNode(sim::Rng &rng)
         ns.radioLastRssi = rng.uniform16();
         ns.radioListenAccruedTo = rng.next() % (1u << 30);
         ns.medium.txSeq = std::uint32_t(rng.next());
-        for (int i = 0, n = int(rng.next() % 3); i < n; ++i) {
+        for (int i = 0, n = 1 + int(rng.next() % 2); i < n; ++i) {
             ns.medium.ownEnds.push_back(
                 {rng.next() % (1u << 30), rng.next()});
             ns.medium.remoteEnds.push_back(
                 {rng.next() % (1u << 30), rng.next()});
-            ns.medium.offers.push_back({rng.next() % (1u << 30),
-                                        rng.uniform16(),
-                                        rng.uniform16(), rng.next()});
+            ns.medium.offers.push_back(
+                {rng.next() % (1u << 30), rng.uniform16(),
+                 rng.uniform16(), rng.next(), fuzzTag(rng)});
         }
     }
 
@@ -126,7 +171,21 @@ fuzzNode(sim::Rng &rng)
     ns.chargedPj = rng.uniform01() * 1e12;
     for (double &pj : ns.handlerPj)
         pj = rng.uniform01() * 1e9;
-    for (int i = 0, n = int(rng.next() % 6); i < n; ++i)
+    ns.flow = {std::uint32_t(rng.next()),
+               std::uint8_t(rng.chance(0.7)),
+               std::uint32_t(rng.next() % 64),
+               std::uint32_t(rng.next()),
+               std::uint32_t(rng.next() % 64),
+               std::uint16_t(1 + rng.next() % 8),
+               rng.next() % (1u << 30),
+               std::uint8_t(rng.chance(0.7)),
+               std::uint32_t(rng.next())};
+    for (sim::Tick &v : ns.energest.ticks)
+        v = rng.next() % (1u << 30);
+    for (double &pj : ns.energest.pj)
+        pj = rng.uniform01() * 1e9;
+    ns.energest.onMask = std::uint8_t(1 + rng.next() % 15);
+    for (int i = 0, n = 1 + int(rng.next() % 5); i < n; ++i)
         ns.metrics.push_back(fuzzInstrument(rng, i));
     return ns;
 }
@@ -137,7 +196,7 @@ fuzzSnapshot(sim::Rng &rng)
     NetworkSnapshot snap;
     snap.snapTick = rng.next() % (1u << 30);
     snap.window = 1 + rng.next() % (1u << 20);
-    for (int i = 0, n = int(rng.next() % 4); i < n; ++i) {
+    for (int i = 0, n = 1 + int(rng.next() % 3); i < n; ++i) {
         radio::AirFlight f{};
         f.start = rng.next() % (1u << 30);
         f.end = f.start + 1 + rng.next() % 1000;
@@ -146,15 +205,16 @@ fuzzSnapshot(sim::Rng &rng)
         f.word = rng.uniform16();
         f.collided = rng.chance(0.3);
         f.resolved = rng.chance(0.3);
+        f.tag = fuzzTag(rng);
         snap.air.pending.push_back(f);
     }
-    for (int i = 0, n = int(rng.next() % 3); i < n; ++i) {
+    for (int i = 0, n = 1 + int(rng.next() % 2); i < n; ++i) {
         snap.air.down.push_back(std::uint8_t(rng.next() % 2));
         snap.air.downLinks.emplace_back(std::uint32_t(rng.next() % 8),
                                         std::uint32_t(rng.next() % 8));
     }
     snap.air.offersOutstanding = rng.next();
-    for (int i = 0, n = int(rng.next() % 4); i < n; ++i)
+    for (int i = 0, n = 1 + int(rng.next() % 3); i < n; ++i)
         snap.air.metrics.push_back(fuzzInstrument(rng, 100 + i));
     snap.metricsNext = rng.next() % (1u << 30);
     snap.metricsLastAt = rng.next() % (1u << 30);
@@ -297,6 +357,96 @@ TEST(SnapshotProperty, Version2FileIsRejected)
                       "unsupported format version 2"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+TEST(SnapshotProperty, EncodingKnownAnswer)
+{
+    // The layout pinned across builds: this value sets every NodeState
+    // and NetworkSnapshot field (each flag is set on some node, each
+    // container is non-empty), so moving, dropping or re-typing any
+    // field changes the size or the hash. Both constants change only
+    // together with a kFormatVersion bump.
+    sim::Rng rng(74);
+    const NetworkSnapshot snap = fuzzSnapshot(rng);
+    const auto node = [&](auto pred) {
+        return std::any_of(snap.nodes.begin(), snap.nodes.end(), pred);
+    };
+    const auto flight = [&](auto pred) {
+        return std::any_of(snap.air.pending.begin(),
+                           snap.air.pending.end(), pred);
+    };
+    EXPECT_TRUE(snap.metricsMetaWritten);
+    EXPECT_TRUE(node([](const NodeState &n) { return n.dead; }));
+    EXPECT_TRUE(node([](const NodeState &n) { return n.core.asleep; }));
+    EXPECT_TRUE(node([](const NodeState &n) { return n.core.carry; }));
+    EXPECT_TRUE(
+        node([](const NodeState &n) { return n.core.recordTimeline; }));
+    EXPECT_TRUE(node([](const NodeState &n) {
+        return n.hasRadio && n.medium.offers.front().tag.valid;
+    }));
+    EXPECT_TRUE(node([](const NodeState &n) { return n.flow.ctxValid; }));
+    EXPECT_TRUE(
+        node([](const NodeState &n) { return n.flow.explicitOpen; }));
+    for (std::size_t t = 0; t < 3; ++t)
+        EXPECT_TRUE(
+            node([&](const NodeState &n) { return n.timers[t].armed; }));
+    using radio::AirFlight;
+    EXPECT_TRUE(flight([](const AirFlight &f) { return f.collided; }));
+    EXPECT_TRUE(flight([](const AirFlight &f) { return f.resolved; }));
+    EXPECT_TRUE(flight([](const AirFlight &f) { return f.tag.valid; }));
+
+    const std::string enc = snapshot::encodeSnapshot(snap);
+    EXPECT_EQ(enc.size(), 11921u);
+    EXPECT_EQ(snapshot::fnv1a64(enc.data(), enc.size()),
+              0x525712e7889c6807ull);
+}
+
+/**
+ * A payload of @p total bytes with a valid checksum: @p prefix, then a
+ * length prefix equal to the bytes that follow it, then that many
+ * 0xff filler bytes.
+ */
+std::string
+hostileCount(const std::string &prefix, std::size_t total)
+{
+    snapshot::Writer w;
+    const std::uint64_t n = total - prefix.size() - 8 - 8;
+    w.u64(n);
+    std::string bytes = prefix + w.bytes() + std::string(n, '\xff');
+    snapshot::Writer tail;
+    tail.u64(snapshot::fnv1a64(bytes.data(), bytes.size()));
+    return bytes + tail.bytes();
+}
+
+TEST(SnapshotProperty, HugeCountIsRejectedBeforeAllocating)
+{
+    // Each counted element encodes to far more than one byte, so a
+    // count equal to the bytes left must fail the length-prefix check
+    // itself — before the decoder reserves a vector of that many
+    // NodeStates or instruments.
+    const std::string empty = snapshot::encodeSnapshot(NetworkSnapshot{});
+    const std::size_t kTotal = 64 * 1024;
+    // The empty payload ends with the node count and the user-RNG
+    // count; the air-metrics count follows magic, version, snapTick,
+    // window and the air block's three counts and offersOutstanding.
+    const std::string nodesAt = empty.substr(0, empty.size() - 8 - 16);
+    const std::string airMetricsAt = empty.substr(0, 4 + 4 + 8 * 6);
+    for (const std::string &prefix : {nodesAt, airMetricsAt}) {
+        const std::string bad = hostileCount(prefix, kTotal);
+        ASSERT_EQ(bad.size(), kTotal);
+        const std::string want =
+            "length prefix " +
+            std::to_string(kTotal - prefix.size() - 16) +
+            " exceeds remaining input";
+        try {
+            snapshot::decodeSnapshot(bad);
+            FAIL() << "hostile count accepted";
+        } catch (const sim::FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(want),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

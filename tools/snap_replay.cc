@@ -24,6 +24,9 @@
  *
  * --plant-kill=N@MS injects an extra kill fault — the knob the CI
  * smoke job uses to prove a real divergence is caught and localized.
+ * N must name one of the scenario's nodes, MS and --every-ms (above
+ * 0) must be at most its duration_ms, and --jobs is 1..256; anything
+ * else is a usage error before the run starts.
  * --from=FILE.snap starts the replay at a saved snapshot instead of
  * t=0 (rows before it are skipped in the comparison), so a divergent
  * window can be zoomed into by re-recording both ladders from the
@@ -31,16 +34,17 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
+#include "sim/args.hh"
 #include "sim/logging.hh"
 #include "snapshot/snapshot.hh"
 
@@ -117,18 +121,28 @@ main(int argc, char **argv)
     std::string expect_path;
     std::string from_path;
     std::string fidelity_arg;
-    std::string plant_arg;
+    bool plant = false;
+    std::uint64_t plant_node = 0;
+    double plant_ms = 0;
     double every_ms = 0;
     unsigned jobs = 1;
     for (int i = 1; i < argc; ++i) {
+        const char *jobs_arg = nullptr;
         if (!std::strncmp(argv[i], "--scenario=", 11))
             scenario_path = argv[i] + 11;
-        else if (!std::strncmp(argv[i], "--every-ms=", 11))
-            every_ms = std::atof(argv[i] + 11);
+        else if (!std::strncmp(argv[i], "--every-ms=", 11)) {
+            if (!sim::parseTimeArg(argv[i] + 11, sim::kMillisecond,
+                                   every_ms) ||
+                every_ms <= 0)
+                return sim::badArg("--every-ms",
+                                   "a positive number of ms below 2^63 "
+                                   "ps (about 9.2e9 ms)",
+                                   argv[i] + 11);
+        }
         else if (!std::strncmp(argv[i], "--jobs=", 7))
-            jobs = static_cast<unsigned>(std::atoi(argv[i] + 7));
+            jobs_arg = argv[i] + 7;
         else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            jobs_arg = argv[++i];
         else if (!std::strncmp(argv[i], "--out=", 6))
             out_path = argv[i] + 6;
         else if (!std::strncmp(argv[i], "--snap-dir=", 11))
@@ -139,11 +153,31 @@ main(int argc, char **argv)
             from_path = argv[i] + 7;
         else if (!std::strcmp(argv[i], "--fidelity") && i + 1 < argc)
             fidelity_arg = argv[++i];
-        else if (!std::strncmp(argv[i], "--plant-kill=", 13))
-            plant_arg = argv[i] + 13;
+        else if (!std::strncmp(argv[i], "--plant-kill=", 13)) {
+            const std::string arg = argv[i] + 13;
+            const std::size_t at = arg.find('@');
+            if (at == std::string::npos ||
+                !sim::parseCountArg(arg.substr(0, at).c_str(), 0,
+                                    scenario::kMaxNodes - 1,
+                                    plant_node) ||
+                !sim::parseTimeArg(arg.c_str() + at + 1,
+                                   sim::kMillisecond, plant_ms))
+                return sim::badArg("--plant-kill",
+                                   "NODE@MS: a node index and a "
+                                   "non-negative number of ms",
+                                   arg.c_str());
+            plant = true;
+        }
         else {
             std::fprintf(stderr, "unknown option %s\n", argv[i]);
             return 2;
+        }
+        if (jobs_arg) {
+            std::uint64_t v = 0;
+            if (!sim::parseCountArg(jobs_arg, 1, sim::kMaxJobs, v))
+                return sim::badArg("--jobs", "an integer from 1 to 256",
+                                   jobs_arg);
+            jobs = static_cast<unsigned>(v);
         }
     }
     if (scenario_path.empty() || every_ms <= 0) {
@@ -153,7 +187,9 @@ main(int argc, char **argv)
             "           [--jobs K] [--fidelity fast|cycle]\n"
             "           [--out=LADDER] [--snap-dir=DIR]\n"
             "           [--expect=LADDER] [--from=FILE.snap]\n"
-            "           [--plant-kill=NODE@MS]\n");
+            "           [--plant-kill=NODE@MS]\n"
+            "       MS at most the scenario's duration_ms, NODE below\n"
+            "       its node count, K in 1..256\n");
         return 2;
     }
     if (!fidelity_arg.empty() && fidelity_arg != "fast" &&
@@ -166,19 +202,32 @@ main(int argc, char **argv)
     try {
         scenario::Scenario sc =
             scenario::loadScenario(scenario_path);
-        if (!plant_arg.empty()) {
-            const std::size_t at = plant_arg.find('@');
-            if (at == std::string::npos) {
+        // Checked against the scenario before anything runs: a kill
+        // of a node the network does not have, or a time past its
+        // end, is a usage error, not an abort or a silent no-op.
+        for (auto [option, ms] : {std::pair{"--every-ms", every_ms},
+                                  std::pair{"--plant-kill", plant_ms}})
+            if (ms > sc.durationMs) {
                 std::fprintf(stderr,
-                             "--plant-kill wants NODE@MS, got %s\n",
-                             plant_arg.c_str());
+                             "%s time %s ms is past the scenario's "
+                             "duration_ms %s\n",
+                             option, sim::formatDouble(ms).c_str(),
+                             sim::formatDouble(sc.durationMs).c_str());
+                return 2;
+            }
+        if (plant) {
+            if (plant_node >= sc.nodes) {
+                std::fprintf(stderr,
+                             "--plant-kill node %llu is out of range "
+                             "(the scenario has %zu nodes)\n",
+                             static_cast<unsigned long long>(plant_node),
+                             sc.nodes);
                 return 2;
             }
             scenario::Fault f;
             f.kind = scenario::Fault::Kind::Kill;
-            f.a = static_cast<std::uint32_t>(
-                std::atoi(plant_arg.substr(0, at).c_str()));
-            f.atMs = std::atof(plant_arg.c_str() + at + 1);
+            f.a = static_cast<std::uint32_t>(plant_node);
+            f.atMs = plant_ms;
             sc.faults.push_back(f);
         }
 

@@ -34,6 +34,12 @@
  * --volts takes a comma-separated list assigned round-robin over the
  * nodes (a heterogeneous-supply deployment in one run).
  *
+ * Numeric options are checked whole before anything runs: --volts
+ * entries must be positive finite numbers, --nodes an integer from 1
+ * to 2^20 (scenario::kMaxNodes), --jobs an integer from 1 to 256, and
+ * times non-negative and below 2^63 ps. Anything else is a usage
+ * error (exit 2).
+ *
  * With --metrics, periodic registry snapshots stream to FILE every
  * --metrics-interval ticks of simulated time (docs/METRICS.md has the
  * schema); --profile adds end-of-run per-PC flat-profile rows. Feed
@@ -87,6 +93,8 @@
 #include "node/power.hh"
 #include "radio/transceiver.hh"
 #include "scenario/runner.hh"
+#include "scenario/scenario.hh"
+#include "sim/args.hh"
 #include "sim/ticks.hh"
 #include "sim/trace.hh"
 #include "snapshot/snapshot.hh"
@@ -145,31 +153,25 @@ struct MetricsPump
     }
 };
 
-/** Report a malformed time option; returns the usage-error status. */
-int
-badTime(const char *option, const char *arg)
+/** Parse a comma-separated voltage list ("1.8,0.9,0.6"); false if
+ *  any entry is not a positive finite number. */
+bool
+parseVolts(const char *arg, std::vector<double> &out)
 {
-    std::fprintf(stderr, "%s needs a non-negative number of ms below "
-                         "2^63 ps (about 9.2e9 ms), got '%s'\n",
-                 option, arg);
-    return 2;
-}
-
-/** Parse a comma-separated voltage list ("1.8,0.9,0.6"). */
-std::vector<double>
-parseVolts(const char *arg)
-{
-    std::vector<double> out;
+    out.clear();
     std::string s(arg);
     std::size_t pos = 0;
     while (pos <= s.size()) {
         std::size_t comma = s.find(',', pos);
         if (comma == std::string::npos)
             comma = s.size();
-        out.push_back(std::atof(s.substr(pos, comma - pos).c_str()));
+        double v = 0;
+        if (!sim::parseVoltsArg(s.substr(pos, comma - pos).c_str(), v))
+            return false;
+        out.push_back(v);
         pos = comma + 1;
     }
-    return out;
+    return true;
 }
 
 } // namespace
@@ -201,20 +203,35 @@ main(int argc, char **argv)
     std::string cal_path;
     sim::Tick metrics_interval = 10 * sim::kMillisecond;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--volts") && i + 1 < argc)
-            volts = parseVolts(argv[++i]);
+        if (!std::strcmp(argv[i], "--volts") && i + 1 < argc) {
+            if (!parseVolts(argv[++i], volts))
+                return sim::badArg("--volts",
+                                   "comma-separated positive voltages",
+                                   argv[i]);
+        }
         else if (!std::strcmp(argv[i], "--fidelity") && i + 1 < argc)
             fidelity_arg = argv[++i];
         else if (!std::strncmp(argv[i], "--cal=", 6))
             cal_path = argv[i] + 6;
         else if (!std::strcmp(argv[i], "--ms") && i + 1 < argc) {
             if (!sim::parseTimeArg(argv[++i], sim::kMillisecond, ms))
-                return badTime("--ms", argv[i]);
+                return sim::badArg("--ms", sim::kTimeArgNeeds, argv[i]);
         }
-        else if (!std::strcmp(argv[i], "--nodes") && i + 1 < argc)
-            nodes = static_cast<unsigned>(std::atoi(argv[++i]));
-        else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc)
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+        else if (!std::strcmp(argv[i], "--nodes") && i + 1 < argc) {
+            std::uint64_t v = 0;
+            if (!sim::parseCountArg(argv[++i], 1, scenario::kMaxNodes, v))
+                return sim::badArg("--nodes",
+                                   "an integer from 1 to 1048576",
+                                   argv[i]);
+            nodes = static_cast<unsigned>(v);
+        }
+        else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
+            std::uint64_t v = 0;
+            if (!sim::parseCountArg(argv[++i], 1, sim::kMaxJobs, v))
+                return sim::badArg("--jobs", "an integer from 1 to 256",
+                                   argv[i]);
+            jobs = static_cast<unsigned>(v);
+        }
         else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
             seed = std::strtoull(argv[++i], nullptr, 0);
         else if (!std::strcmp(argv[i], "--stats"))
@@ -240,7 +257,8 @@ main(int argc, char **argv)
         else if (!std::strncmp(argv[i], "--save-at=", 10)) {
             double at = 0;
             if (!sim::parseTimeArg(argv[i] + 10, sim::kMillisecond, at))
-                return badTime("--save-at", argv[i] + 10);
+                return sim::badArg("--save-at", sim::kTimeArgNeeds,
+                                   argv[i] + 10);
             save_at.push_back(at);
         }
         else if (!std::strncmp(argv[i], "--save=", 7))
@@ -267,7 +285,9 @@ main(int argc, char **argv)
                              "[--flows=FILE] "
                              "[--profile] [--save-at=MS]... "
                              "[--save=FILE.snap] "
-                             "[--restore=FILE.snap]\n");
+                             "[--restore=FILE.snap]\n"
+                             "  N in 1..1048576, K in 1..256, "
+                             "V positive\n");
         return 2;
     }
     if (trace_format != "json" && trace_format != "vcd") {
@@ -276,9 +296,8 @@ main(int argc, char **argv)
                      trace_format.c_str());
         return 2;
     }
-    if (volts.empty() || metrics_interval == 0) {
-        std::fprintf(stderr, "--volts needs at least one voltage and "
-                             "--metrics-interval must be positive\n");
+    if (metrics_interval == 0) {
+        std::fprintf(stderr, "--metrics-interval must be positive\n");
         return 2;
     }
     if (!fidelity_arg.empty() && fidelity_arg != "fast" &&

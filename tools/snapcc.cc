@@ -4,13 +4,15 @@
  *
  * Usage: snapcc FILE.c [-O] [--run [--ms N] [--volts V]]
  *
+ * --ms must be a non-negative number of ms below 2^63 ps and --volts
+ * a positive finite voltage; anything else is a usage error (exit 2).
+ *
  * Without --run, prints the generated SNAP assembly. With --run,
  * assembles and executes on the machine model and prints the
  * __dbgout stream plus summary statistics.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -18,6 +20,7 @@
 #include "asm/snap_backend.hh"
 #include "cc/codegen.hh"
 #include "core/machine.hh"
+#include "sim/args.hh"
 #include "sim/ticks.hh"
 
 int
@@ -36,16 +39,14 @@ main(int argc, char **argv)
         else if (!std::strcmp(argv[i], "--run"))
             run = true;
         else if (!std::strcmp(argv[i], "--ms") && i + 1 < argc) {
-            if (!sim::parseTimeArg(argv[++i], sim::kMillisecond, ms)) {
-                std::fprintf(stderr, "--ms needs a non-negative number "
-                                     "of ms below 2^63 ps (about "
-                                     "9.2e9 ms), got '%s'\n",
-                             argv[i]);
-                return 2;
-            }
+            if (!sim::parseTimeArg(argv[++i], sim::kMillisecond, ms))
+                return sim::badArg("--ms", sim::kTimeArgNeeds, argv[i]);
         }
-        else if (!std::strcmp(argv[i], "--volts") && i + 1 < argc)
-            volts = std::atof(argv[++i]);
+        else if (!std::strcmp(argv[i], "--volts") && i + 1 < argc) {
+            if (!sim::parseVoltsArg(argv[++i], volts))
+                return sim::badArg("--volts", "a positive voltage",
+                                   argv[i]);
+        }
         else if (argv[i][0] == '-') {
             std::fprintf(stderr, "unknown option %s\n", argv[i]);
             return 2;
