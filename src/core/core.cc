@@ -22,15 +22,13 @@ void
 SnapCore::start(FidelityMode fidelity)
 {
     fidelity_ = fidelity;
-    pendingFidelity_ = fidelity;
-    resumePc_ = kNoResume;
-    spawnExecutor(fidelity);
+    spawnExecutor();
 }
 
 void
-SnapCore::spawnExecutor(FidelityMode m)
+SnapCore::spawnExecutor()
 {
-    if (m == FidelityMode::Fast) {
+    if (fidelity_ == FidelityMode::Fast) {
         ctx_.kernel.spawn(fastProcess(), "fast");
     } else {
         ctx_.kernel.spawn(fetchProcess(), "fetch");
@@ -39,9 +37,80 @@ SnapCore::spawnExecutor(FidelityMode m)
 }
 
 void
-SnapCore::requestFidelity(FidelityMode m)
+SnapCore::beginBoot()
 {
-    pendingFidelity_ = m;
+    stats_.lastWake = ctx_.kernel.now();
+    segStart_ = stats_.lastWake;
+    profLastTick_ = stats_.lastWake;
+    profLastPj_ = ctx_.chargedPj();
+    classLastTick_ = stats_.lastWake;
+    classLastPj_ = profLastPj_;
+}
+
+void
+SnapCore::retireHalt()
+{
+    halted_ = true;
+    const Tick now = ctx_.kernel.now();
+    stats_.handlerTicks[slotOf(currentEvent_)] += now - segStart_;
+    stats_.activeTime += now - stats_.lastWake;
+    if (ctx_.cfg.stopOnHalt)
+        ctx_.kernel.stop();
+}
+
+SnapCore::SavedState
+SnapCore::saveState(bool frozen) const
+{
+    sim::fatalIf(!frozen && !halted_ && !asleep_,
+                 "snapshot of a running core (eligibility should have "
+                 "deferred this barrier)");
+    sim::fatalIf(profileEnabled(),
+                 "snapshot with the flat profile enabled: profile rows "
+                 "are not serialized; disable profiling to checkpoint");
+    sim::fatalIf(recordTimeline_,
+                 "snapshot with the activity timeline recording: spans "
+                 "are not serialized; disable the timeline to checkpoint");
+    SavedState s;
+    s.regs = regs_;
+    s.carry = carry_;
+    s.lfsr = lfsr_.state();
+    s.handlerTable = handlerTable_;
+    s.halted = halted_;
+    s.asleep = asleep_;
+    s.currentEvent = currentEvent_;
+    s.fidelity = static_cast<std::uint8_t>(fidelity_);
+    s.debugOut = debugOut_;
+    s.stats = stats_;
+    return s;
+}
+
+void
+SnapCore::restoreState(const SavedState &s)
+{
+    sim::fatalIf(s.fidelity > 1, "snapshot: bad core fidelity mode");
+    sim::fatalIf(s.currentEvent != 0xff &&
+                     s.currentEvent >= isa::kNumEvents,
+                 "snapshot: bad current event");
+    regs_ = s.regs;
+    carry_ = s.carry;
+    lfsr_.seed(s.lfsr);
+    handlerTable_ = s.handlerTable;
+    halted_ = s.halted;
+    asleep_ = s.asleep;
+    currentEvent_ = s.currentEvent;
+    fidelity_ = static_cast<FidelityMode>(s.fidelity);
+    debugOut_ = s.debugOut;
+    stats_ = s.stats;
+}
+
+void
+SnapCore::startRestored()
+{
+    if (halted_)
+        return;
+    sim::panicIf(!asleep_, "startRestored on a running core");
+    restoredAsleep_ = true;
+    spawnExecutor();
 }
 
 std::uint16_t
@@ -77,24 +146,9 @@ SnapCore::fetchProcess()
     if (restoredAsleep_) {
         // Respawned from a snapshot of a sleeping core: park at the
         // event wait as if we had just executed `done`.
-        const std::uint32_t hpc = co_await awaitDispatch();
-        if (hpc == kSwitchUnwind) {
-            co_await fetchQ_.send(InstPacket{{}, 0, true});
-            co_return;
-        }
-        pc = static_cast<std::uint16_t>(hpc);
-    } else if (resumePc_ != kNoResume) {
-        // Taking over mid-run after a fidelity switch: the dispatch
-        // bookkeeping was already done by the unwinding executor.
-        pc = static_cast<std::uint16_t>(resumePc_);
-        resumePc_ = kNoResume;
+        pc = co_await awaitDispatch();
     } else {
-        stats_.lastWake = ctx_.kernel.now();
-        segStart_ = stats_.lastWake;
-        profLastTick_ = stats_.lastWake;
-        profLastPj_ = ctx_.chargedPj();
-        classLastTick_ = stats_.lastWake;
-        classLastPj_ = profLastPj_;
+        beginBoot();
     }
     for (;;) {
         // Fetch (and minimally predecode) one instruction.
@@ -131,31 +185,16 @@ SnapCore::fetchProcess()
             pc = r.pc;
             break;
           case Redirect::Kind::Halt:
-            halted_ = true;
-            stats_.handlerTicks[slotOf(currentEvent_)] +=
-                ctx_.kernel.now() - segStart_;
-            stats_.activeTime +=
-                ctx_.kernel.now() - stats_.lastWake;
-            if (ctx_.cfg.stopOnHalt)
-                ctx_.kernel.stop();
+            retireHalt();
             co_return;
-          case Redirect::Kind::Done: {
-            const std::uint32_t hpc = co_await awaitDispatch();
-            if (hpc == kSwitchUnwind) {
-                // Fidelity switch: the fast executor has taken over.
-                // Unwind the execute process with a poison packet and
-                // retire this one.
-                co_await fetchQ_.send(InstPacket{{}, 0, true});
-                co_return;
-            }
-            pc = static_cast<std::uint16_t>(hpc);
+          case Redirect::Kind::Done:
+            pc = co_await awaitDispatch();
             break;
-          }
         }
     }
 }
 
-Co<std::uint32_t>
+Co<std::uint16_t>
 SnapCore::awaitDispatch()
 {
     // End of handler: return to the event queue. With no pending
@@ -226,15 +265,6 @@ SnapCore::awaitDispatch()
         disp.event = tok.num;
         disp.pc = pc;
         commitSink_->commit(disp);
-    }
-    if (pendingFidelity_ != fidelity_) {
-        // Perform the switch at this handler boundary: hand the
-        // handler pc to the counterpart executor and tell the caller
-        // to unwind.
-        fidelity_ = pendingFidelity_;
-        resumePc_ = pc;
-        spawnExecutor(fidelity_);
-        co_return kSwitchUnwind;
     }
     co_return pc;
 }
@@ -321,8 +351,6 @@ SnapCore::executeProcess()
 {
     for (;;) {
         InstPacket p = co_await fetchQ_.recv();
-        if (p.poison)
-            co_return; // fidelity switch: unwind quietly
         const DecodedInst &d = p.inst;
 
         co_await ctx_.kernel.delay(ctx_.gd(ctx_.tcal.decodeGd));

@@ -49,8 +49,8 @@ namespace snaple::core {
  * with per-operation timing; Fast is the statistical tier: the
  * predecoded ref engine executing the same architectural semantics,
  * with time and energy charged from per-instruction-class calibration
- * coefficients (energy/class_cal.hh). Switchable per node at
- * construction and at network barrier ticks.
+ * coefficients (energy/class_cal.hh). Fixed per node: chosen at
+ * start() (NodeConfig::fidelity) or taken from a snapshot at restore.
  */
 enum class FidelityMode : std::uint8_t
 {
@@ -129,16 +129,6 @@ class SnapCore
 
     FidelityMode fidelity() const { return fidelity_; }
 
-    /**
-     * Request a fidelity switch. Takes effect at the next handler
-     * boundary (the `done` instruction's event wait): the running
-     * executor unwinds and the counterpart takes over with the same
-     * architectural state. Safe to call between kernel slices — the
-     * coordinator uses it at network barrier ticks
-     * (net::ParallelNetwork::setNodeFidelity).
-     */
-    void requestFidelity(FidelityMode m);
-
     /** @name Host-side architectural state access (tests, loaders) */
     ///@{
     std::uint16_t reg(unsigned i) const;
@@ -170,7 +160,8 @@ class SnapCore
     bool asleep() const { return asleep_; }
     const Stats &stats() const { return stats_; }
 
-    /** Enable wake/sleep interval recording (off by default). */
+    /** Enable wake/sleep interval recording (off by default; a
+     *  recording core cannot be checkpointed). */
     void recordTimeline(bool on) { recordTimeline_ = on; }
     const std::vector<ActivitySpan> &timeline() const
     {
@@ -214,8 +205,9 @@ class SnapCore
      * frames and is unserializable by design; checkpoint eligibility
      * (docs/CHECKPOINT.md) defers the barrier instead. */
     ///@{
-    /** Serialized core state. Profile rows are host instrumentation
-     *  and are rejected at save time rather than silently dropped. */
+    /** Serialized core state. Profile rows and the activity timeline
+     *  are host instrumentation and are rejected at save time rather
+     *  than silently dropped. */
     struct SavedState
     {
         std::array<std::uint16_t, isa::kNumPhysRegs> regs{};
@@ -226,14 +218,11 @@ class SnapCore
         bool asleep = false;
         std::uint8_t currentEvent = 0xff;
         std::uint8_t fidelity = 0;
-        std::uint8_t pendingFidelity = 0;
-        std::uint16_t fastPc = 0;
-        bool recordTimeline = false;
         std::vector<std::uint16_t> debugOut;
-        std::vector<ActivitySpan> timeline;
         Stats stats;
     };
-    /** Serialize; fatal unless halted or asleep, or if profiling.
+    /** Serialize; fatal unless halted or asleep, or if profiling or
+     *  recording the timeline.
      *  @p frozen waives the parked requirement for shards that will
      *  never run again (killed nodes): their architectural state is
      *  captured for reporting only and is never respawned. */
@@ -254,9 +243,6 @@ class SnapCore
     {
         isa::DecodedInst inst;
         std::uint16_t pcNext = 0; ///< address after this instruction
-        /** Fidelity-switch poison: execute unwinds without running
-         *  the (dummy) instruction. */
-        bool poison = false;
     };
 
     /** Control-flow resolution from execute back to fetch. */
@@ -280,11 +266,6 @@ class SnapCore
         double pj = 0.0;
     };
 
-    /** awaitDispatch: the executor must unwind (fidelity switch). */
-    static constexpr std::uint32_t kSwitchUnwind = 0x10000;
-    /** resumePc_: cold boot, start fetching at pc 0. */
-    static constexpr std::uint32_t kNoResume = 0xffffffff;
-
     sim::Co<void> fetchProcess();
     sim::Co<void> executeProcess();
     /** The fast tier's single process (core/fast_core.cc). */
@@ -295,15 +276,19 @@ class SnapCore
      * `done`: close the current handler segment, sleep if the event
      * queue is empty, wait for a token, and perform the dispatch
      * (wake accounting, histograms, dispatch charge and delay, commit
-     * record). Returns the handler pc — or kSwitchUnwind when a
-     * fidelity switch was pending, in which case the counterpart
-     * executor has already been spawned at the handler pc and the
-     * caller must unwind without touching further state.
+     * record). Returns the handler pc.
      */
-    sim::Co<std::uint32_t> awaitDispatch();
+    sim::Co<std::uint16_t> awaitDispatch();
 
-    /** Spawn the executor processes for mode @p m. */
-    void spawnExecutor(FidelityMode m);
+    /** Cold boot, shared by both executors: open the boot segment
+     *  and the attribution markers at the current instant. */
+    void beginBoot();
+    /** `halt`, shared by both executors: close the last segment and
+     *  the active period, and stop the kernel if configured to. */
+    void retireHalt();
+
+    /** Spawn the executor processes for fidelity_. */
+    void spawnExecutor();
 
     /** Attribution slot for the current event (boot when 0xff). */
     std::size_t
@@ -374,17 +359,14 @@ class SnapCore
     double classLastPj_ = 0.0;
 
     FidelityMode fidelity_ = FidelityMode::Cycle;
-    FidelityMode pendingFidelity_ = FidelityMode::Cycle;
     /** Restore-time entry: the freshly spawned executor parks at the
      *  event wait without redoing the sleep-entry bookkeeping (it all
      *  happened before the snapshot). Cleared by awaitDispatch. */
     bool restoredAsleep_ = false;
-    /** Handler pc a freshly spawned executor resumes at after a
-     *  fidelity switch (kNoResume = cold boot from pc 0). */
-    std::uint32_t resumePc_ = kNoResume;
 
-    /** Fast-tier working state (core/fast_core.cc), created on first
-     *  use; opaque here so the cycle tier does not pay for it. */
+    /** Fast-tier working state (core/fast_core.cc), created when the
+     *  fast process starts; opaque here so the cycle tier does not pay
+     *  for it. */
     struct FastTier;
     std::unique_ptr<FastTier> fast_;
 };

@@ -255,77 +255,6 @@ SnapCore::SnapCore(NodeContext &ctx, mem::Sram &imem, mem::Sram &dmem,
 
 SnapCore::~SnapCore() = default;
 
-// saveState/restoreState also live here: they touch fast_->pc, which
-// needs FastTier complete.
-
-SnapCore::SavedState
-SnapCore::saveState(bool frozen) const
-{
-    sim::fatalIf(!frozen && !halted_ && !asleep_,
-                 "snapshot of a running core (eligibility should have "
-                 "deferred this barrier)");
-    sim::fatalIf(profileEnabled(),
-                 "snapshot with the flat profile enabled: profile rows "
-                 "are not serialized; disable profiling to checkpoint");
-    SavedState s;
-    s.regs = regs_;
-    s.carry = carry_;
-    s.lfsr = lfsr_.state();
-    s.handlerTable = handlerTable_;
-    s.halted = halted_;
-    s.asleep = asleep_;
-    s.currentEvent = currentEvent_;
-    s.fidelity = static_cast<std::uint8_t>(fidelity_);
-    s.pendingFidelity = static_cast<std::uint8_t>(pendingFidelity_);
-    s.fastPc = fast_ ? fast_->pc : 0;
-    s.recordTimeline = recordTimeline_;
-    s.debugOut = debugOut_;
-    s.timeline = timeline_;
-    s.stats = stats_;
-    return s;
-}
-
-void
-SnapCore::restoreState(const SavedState &s)
-{
-    sim::fatalIf(s.fidelity > 1 || s.pendingFidelity > 1,
-                 "snapshot: bad core fidelity mode");
-    sim::fatalIf(s.currentEvent != 0xff &&
-                     s.currentEvent >= isa::kNumEvents,
-                 "snapshot: bad current event");
-    regs_ = s.regs;
-    carry_ = s.carry;
-    lfsr_.seed(s.lfsr);
-    handlerTable_ = s.handlerTable;
-    halted_ = s.halted;
-    asleep_ = s.asleep;
-    currentEvent_ = s.currentEvent;
-    fidelity_ = static_cast<FidelityMode>(s.fidelity);
-    pendingFidelity_ = static_cast<FidelityMode>(s.pendingFidelity);
-    recordTimeline_ = s.recordTimeline;
-    debugOut_ = s.debugOut;
-    timeline_ = s.timeline;
-    stats_ = s.stats;
-    resumePc_ = kNoResume;
-    if (fidelity_ == FidelityMode::Fast) {
-        if (!fast_) {
-            fast_ = std::make_unique<FastTier>();
-            fast_->lines.resize(ref::pre::kMemWords);
-        }
-        fast_->pc = s.fastPc;
-    }
-}
-
-void
-SnapCore::startRestored()
-{
-    if (halted_)
-        return;
-    sim::panicIf(!asleep_, "startRestored on a running core");
-    restoredAsleep_ = true;
-    spawnExecutor(fidelity_);
-}
-
 Co<void>
 SnapCore::fastProcess()
 {
@@ -341,28 +270,11 @@ SnapCore::fastProcess()
     FastTier &ft = *fast_;
     if (restoredAsleep_) {
         // Respawned from a snapshot of a sleeping core: park at the
-        // event wait. ft.pc is dead state while asleep (the dispatch
-        // overwrites it with the handler pc) and the predecoded lines
-        // start empty, rebuilding lazily and deterministically.
-        const std::uint32_t hpc = co_await awaitDispatch();
-        if (hpc == kSwitchUnwind)
-            co_return;
-        ft.pc = static_cast<std::uint16_t>(hpc);
-    } else if (resumePc_ != kNoResume) {
-        // Taking over mid-run after a fidelity switch; the cycle tier
-        // may have executed `sti` (or the host poked IMEM) since the
-        // last fast stint, so drop every predecoded line.
-        ft.pc = static_cast<std::uint16_t>(resumePc_);
-        resumePc_ = kNoResume;
-        for (auto &l : ft.lines)
-            l.len = 0;
+        // event wait. The predecoded lines start empty, rebuilding
+        // lazily and deterministically.
+        ft.pc = co_await awaitDispatch();
     } else {
-        stats_.lastWake = ctx_.kernel.now();
-        segStart_ = stats_.lastWake;
-        profLastTick_ = stats_.lastWake;
-        profLastPj_ = ctx_.chargedPj();
-        classLastTick_ = stats_.lastWake;
-        classLastPj_ = profLastPj_;
+        beginBoot();
     }
     FastTier::Env env{*this, ft};
     for (;;) {
@@ -396,23 +308,12 @@ SnapCore::fastProcess()
             }
             ft.stallKind = FastTier::StallKind::None;
             break;
-          case ref::pre::PStop::Done: {
-            const std::uint32_t hpc = co_await awaitDispatch();
-            if (hpc == kSwitchUnwind)
-                co_return; // the cycle pair has taken over
-            ft.pc = static_cast<std::uint16_t>(hpc);
+          case ref::pre::PStop::Done:
+            ft.pc = co_await awaitDispatch();
             break;
-          }
-          case ref::pre::PStop::Halt: {
-            halted_ = true;
-            const Tick now = ctx_.kernel.now();
-            stats_.handlerTicks[slotOf(currentEvent_)] +=
-                now - segStart_;
-            stats_.activeTime += now - stats_.lastWake;
-            if (ctx_.cfg.stopOnHalt)
-                ctx_.kernel.stop();
+          case ref::pre::PStop::Halt:
+            retireHalt();
             co_return;
-          }
           case ref::pre::PStop::DecodeError:
             sim::fatal("fast tier: illegal instruction at pc ", ft.pc,
                        " (word ", imem_.peek(ft.pc), ")");

@@ -199,19 +199,6 @@ class ParallelNetwork
         barrierHook_ = std::move(hook);
     }
 
-    /**
-     * Request a fidelity switch for node @p i (core/core.hh). A
-     * coordinator-side call like killNode(): land it between runFor()
-     * segments, so the request is registered at a barrier tick and the
-     * switch itself happens at the node's next handler boundary —
-     * both deterministic, hence jobs-invariant.
-     */
-    void
-    setNodeFidelity(std::size_t i, node::FidelityMode m)
-    {
-        shards_.at(i)->node.core().requestFidelity(m);
-    }
-
     /** Unresolved flights in the exchange (fault tests: no leaks). */
     std::size_t
     airPendingFlights() const

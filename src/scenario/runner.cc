@@ -12,6 +12,7 @@
 #include "net/parallel_network.hh"
 #include "node/node.hh"
 #include "sensor/sensor.hh"
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/rng.hh"
@@ -96,14 +97,14 @@ class ProgramCache
     std::map<std::string, assembler::Program> programs_;
 };
 
+/** FNV-1a over @p v's eight little-endian bytes, continuing from @p h. */
 std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t v)
+fnvFold(std::uint64_t h, std::uint64_t v)
 {
-    for (unsigned i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 1099511628211ull;
-    }
-    return h;
+    unsigned char le[8];
+    for (unsigned i = 0; i < 8; ++i)
+        le[i] = static_cast<unsigned char>(v >> (8 * i));
+    return sim::fnv1a64(le, sizeof le, h);
 }
 
 std::string
@@ -365,9 +366,9 @@ runScenario(const Scenario &sc, const RunOptions &opt)
                 for (std::size_t i = 0; i < sc.nodes; ++i)
                     if (sensors[i])
                         snap.userRng[i] = sensors[i]->rngState();
-                std::uint64_t trace = 14695981039346656037ull;
+                std::uint64_t trace = sim::kFnvOffset;
                 for (const snapshot::NodeState &n : snap.nodes)
-                    trace = fnv1a(trace, n.traceHash);
+                    trace = fnvFold(trace, n.traceHash);
                 for (const Checkpoint &ck : due) {
                     res.checkpoints.push_back(
                         CheckpointRow{ck.atMs, now, trace, ck.path});
@@ -384,7 +385,7 @@ runScenario(const Scenario &sc, const RunOptions &opt)
     if (opt.flowsOut)
         net.finishFlows();
 
-    std::uint64_t combined = 14695981039346656037ull;
+    std::uint64_t combined = sim::kFnvOffset;
     for (std::size_t i = 0; i < sc.nodes; ++i) {
         node::SnapNode &node = net.node(i);
         NodeOutcome &o = res.outcomes[i];
@@ -399,7 +400,7 @@ runScenario(const Scenario &sc, const RunOptions &opt)
         o.energyPj = node.ctx().ledger.totalPj();
         o.dbgWords = node.core().debugOut().size();
         o.traceHash = net.nodeTraceHash(i);
-        combined = fnv1a(combined, o.traceHash);
+        combined = fnvFold(combined, o.traceHash);
     }
     res.combinedTraceHash = combined;
     res.air = net.stats();

@@ -4,23 +4,12 @@
 #include <map>
 #include <ostream>
 
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
 
 namespace snaple::sim {
 
 namespace {
-
-/** FNV-1a over a scope name (once per name, at intern time). */
-std::uint64_t
-fnvString(std::string_view s)
-{
-    std::uint64_t h = 14695981039346656037ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /** VCD identifier for var index @p n: base-62 over [a-zA-Z0-9]. */
 std::string
@@ -127,7 +116,7 @@ TraceSink::scope(const std::string &name)
     panicIf(scopeNames_.size() > 0xffff, "too many trace scopes");
     auto id = static_cast<std::uint16_t>(scopeNames_.size());
     scopeNames_.push_back(name);
-    scopeHashes_.push_back(fnvString(name));
+    scopeHashes_.push_back(fnv1a64(name.data(), name.size()));
     scopeIds_.emplace(name, id);
     return id;
 }

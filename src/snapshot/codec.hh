@@ -26,22 +26,6 @@
 
 namespace snaple::snapshot {
 
-/** FNV-1a 64-bit, the checksum folded over an encoded snapshot. */
-inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-inline std::uint64_t
-fnv1a64(const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t h = kFnvOffset;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 /** Append-only little-endian encoder. */
 class Writer
 {

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
 #include "snapshot/codec.hh"
 
@@ -77,15 +78,7 @@ walk(Ar &ar, S &c)
     ar.b(c.asleep);
     ar.u8(c.currentEvent);
     ar.u8(c.fidelity);
-    ar.u8(c.pendingFidelity);
-    ar.u16(c.fastPc);
-    ar.b(c.recordTimeline);
     ar.u16vec(c.debugOut);
-    ar.seq(c.timeline, [](auto &a, auto &span) {
-        a.u64(span.wake);
-        a.u64(span.sleep);
-        a.u8(span.firstEvent);
-    });
     auto &st = c.stats;
     ar.u64(st.instructions);
     for (auto &v : st.perClass)
@@ -249,7 +242,7 @@ encodeSnapshot(const NetworkSnapshot &snap)
     w.u32(kFormatVersion);
     walk(w, snap);
     std::string bytes = w.take();
-    std::uint64_t sum = fnv1a64(bytes.data(), bytes.size());
+    std::uint64_t sum = sim::fnv1a64(bytes.data(), bytes.size());
     Writer tail;
     tail.u64(sum);
     bytes += tail.bytes();
@@ -266,7 +259,7 @@ decodeSnapshot(std::string_view bytes)
     {
         Reader tail(bytes.substr(payloadEnd));
         std::uint64_t stored = tail.u64();
-        std::uint64_t actual = fnv1a64(bytes.data(), payloadEnd);
+        std::uint64_t actual = sim::fnv1a64(bytes.data(), payloadEnd);
         sim::fatalIf(stored != actual,
                      "snapshot: checksum mismatch (corrupt file)");
     }

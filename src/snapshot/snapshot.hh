@@ -47,8 +47,12 @@ inline constexpr std::uint32_t kMagic = 0x53504e53u;
  *  v3: same layout, but the stored per-node traceHash is a trace hash
  *  v2 value (word at a time, src/sim/trace.hh). A restored v2 file
  *  would continue its hash ladder under a different function, so it
- *  is refused rather than silently resumed. */
-inline constexpr std::uint32_t kFormatVersion = 3;
+ *  is refused rather than silently resumed.
+ *  v4: the core drops its pending fidelity, fast-tier pc, timeline
+ *  flag and timeline spans (12 bytes fewer per node): the tier is
+ *  fixed per node, the pc is dead while parked, and a recording core
+ *  is refused at save time. */
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /** One hardware FIFO's full state (buffer plus flow counters). */
 struct FifoState

@@ -8,6 +8,7 @@
 #include "asm/snap_backend.hh"
 #include "core/machine.hh"
 #include "sim/kernel.hh"
+#include "sim/logging.hh"
 
 namespace {
 
@@ -100,6 +101,28 @@ TEST(CoreStatsTest, TimelineDisabledByDefault)
     m.postEvent(EventNum::Timer0);
     k.runFor(sim::kMillisecond);
     EXPECT_TRUE(m.core().timeline().empty());
+}
+
+TEST(CoreStatsTest, RecordingTimelineCannotBeCheckpointed)
+{
+    // Timeline spans are not serialized, so a recording core must be
+    // refused at save time rather than lose them silently.
+    sim::Kernel k;
+    Machine m(k);
+    m.load(assembler::assembleSnap(kTwoHandlers));
+    m.start();
+    k.runFor(sim::kMillisecond);
+    ASSERT_TRUE(m.core().asleep());
+    EXPECT_NO_THROW(m.core().saveState());
+    m.core().recordTimeline(true);
+    try {
+        m.core().saveState();
+        FAIL() << "timeline-recording core checkpointed";
+    } catch (const sim::FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("timeline"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CoreStatsTest, BackToBackHandlersShareOneSpan)

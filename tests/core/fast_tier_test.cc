@@ -5,7 +5,7 @@
  * CHP cycle tier — same registers, same dbgout stream, same message
  * and timer traffic, same instruction counts — with only time and
  * energy modeled statistically. Also pins the `sti` predecode-line
- * invalidation (self-modifying code) and the runtime fidelity switch.
+ * invalidation (self-modifying code).
  */
 
 #include <gtest/gtest.h>
@@ -185,51 +185,6 @@ TEST(FastTierTest, R15ReadsStallAndResume)
         EXPECT_EQ(m.core().debugOut(),
                   (std::vector<std::uint16_t>{42}));
     }
-}
-
-TEST(FastTierTest, FidelitySwitchesAtDispatchBoundaries)
-{
-    // One handler program, nine activations, with the fidelity
-    // switched Cycle -> Fast -> Cycle between batches. Switches take
-    // effect at the next dispatch; the architectural stream must be
-    // seamless across both takeovers.
-    const std::string src = R"(
-        li r1, 0
-        li r3, 0
-        la r2, h
-        setaddr r3, r2
-        done
-    h:
-        inc r1
-        dbgout r1
-        done
-    )";
-    sim::Kernel k;
-    Machine m(k);
-    m.load(assembler::assembleSnap(src));
-    m.start(FidelityMode::Cycle);
-    k.runFor(sim::kMillisecond);
-
-    const auto batch = [&] {
-        for (int i = 0; i < 3; ++i) {
-            ASSERT_TRUE(m.postEvent(isa::EventNum::Timer0));
-            k.runFor(sim::kMillisecond);
-        }
-    };
-    batch();
-    m.core().requestFidelity(FidelityMode::Fast);
-    batch();
-    EXPECT_EQ(m.core().fidelity(), FidelityMode::Fast);
-    m.core().requestFidelity(FidelityMode::Cycle);
-    batch();
-    EXPECT_EQ(m.core().fidelity(), FidelityMode::Cycle);
-
-    std::vector<std::uint16_t> want;
-    for (std::uint16_t i = 1; i <= 9; ++i)
-        want.push_back(i);
-    EXPECT_EQ(m.core().debugOut(), want);
-    EXPECT_EQ(m.core().stats().handlers, 9u);
-    EXPECT_EQ(m.core().stats().perEvent[0].activations, 9u);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/fnv.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "snapshot/codec.hh"
@@ -175,9 +176,12 @@ TEST(CodecTest, AbsurdLengthPrefixRejectedBeforeAllocation)
 TEST(CodecTest, ChecksumPrimitivesMatchReference)
 {
     // FNV-1a 64 test vectors (public-domain reference values).
-    EXPECT_EQ(snapshot::fnv1a64("", 0), snapshot::kFnvOffset);
-    EXPECT_EQ(snapshot::fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
-    EXPECT_EQ(snapshot::fnv1a64("foobar", 6), 0x85944171f73967e8ull);
+    EXPECT_EQ(sim::fnv1a64("", 0), sim::kFnvOffset);
+    EXPECT_EQ(sim::fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(sim::fnv1a64("foobar", 6), 0x85944171f73967e8ull);
+    // Continuing from a state equals hashing the concatenation.
+    EXPECT_EQ(sim::fnv1a64("bar", 3, sim::fnv1a64("foo", 3)),
+              sim::fnv1a64("foobar", 6));
 }
 
 } // namespace

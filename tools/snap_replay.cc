@@ -255,13 +255,20 @@ main(int argc, char **argv)
 
         const scenario::RunResult res = scenario::runScenario(sc, opt);
 
+        // One row per requested time: an --every-ms point that lands
+        // on a scenario `checkpoint` stanza is due at the same barrier,
+        // so its row (next to the stanza's) would only repeat it.
         std::vector<LadderRow> ladder;
-        for (const scenario::CheckpointRow &c : res.checkpoints)
+        for (const scenario::CheckpointRow &c : res.checkpoints) {
+            std::string key = sim::formatDouble(c.requestedMs);
+            if (!ladder.empty() && ladder.back().key == key)
+                continue;
             ladder.push_back(LadderRow{
-                sim::formatDouble(c.requestedMs),
+                std::move(key),
                 sim::formatDouble(double(c.at) /
                                   double(sim::kMillisecond)),
                 hex16(c.trace)});
+        }
         ladder.push_back(LadderRow{
             "final", sim::formatDouble(res.durationMs),
             hex16(res.combinedTraceHash)});

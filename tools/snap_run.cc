@@ -36,9 +36,10 @@
  *
  * Numeric options are checked whole before anything runs: --volts
  * entries must be positive finite numbers, --nodes an integer from 1
- * to 2^20 (scenario::kMaxNodes), --jobs an integer from 1 to 256, and
- * times non-negative and below 2^63 ps. Anything else is a usage
- * error (exit 2).
+ * to 2^20 (scenario::kMaxNodes), --jobs an integer from 1 to 256,
+ * --seed a decimal integer from 0 to 2^64-1, --metrics-interval one
+ * from 1 to 2^63-1 ticks, and times non-negative and below 2^63 ps.
+ * Anything else is a usage error (exit 2).
  *
  * With --metrics, periodic registry snapshots stream to FILE every
  * --metrics-interval ticks of simulated time (docs/METRICS.md has the
@@ -232,8 +233,12 @@ main(int argc, char **argv)
                                    argv[i]);
             jobs = static_cast<unsigned>(v);
         }
-        else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc)
-            seed = std::strtoull(argv[++i], nullptr, 0);
+        else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
+            if (!sim::parseCountArg(argv[++i], 0, UINT64_MAX, seed))
+                return sim::badArg("--seed",
+                                   "an integer from 0 to 2^64-1",
+                                   argv[i]);
+        }
         else if (!std::strcmp(argv[i], "--stats"))
             stats = true;
         else if (!std::strcmp(argv[i], "--timeline"))
@@ -246,8 +251,13 @@ main(int argc, char **argv)
             trace_format = argv[i] + 15;
         else if (!std::strncmp(argv[i], "--metrics=", 10))
             metrics_path = argv[i] + 10;
-        else if (!std::strncmp(argv[i], "--metrics-interval=", 19))
-            metrics_interval = std::strtoull(argv[i] + 19, nullptr, 0);
+        else if (!std::strncmp(argv[i], "--metrics-interval=", 19)) {
+            if (!sim::parseCountArg(argv[i] + 19, 1, INT64_MAX,
+                                    metrics_interval))
+                return sim::badArg("--metrics-interval",
+                                   "an integer from 1 to 2^63-1 ticks",
+                                   argv[i] + 19);
+        }
         else if (!std::strncmp(argv[i], "--flows=", 8))
             flows_path = argv[i] + 8;
         else if (!std::strncmp(argv[i], "--scenario=", 11))
@@ -287,17 +297,14 @@ main(int argc, char **argv)
                              "[--save=FILE.snap] "
                              "[--restore=FILE.snap]\n"
                              "  N in 1..1048576, K in 1..256, "
-                             "V positive\n");
+                             "V positive, S in 0..2^64-1, "
+                             "TICKS in 1..2^63-1\n");
         return 2;
     }
     if (trace_format != "json" && trace_format != "vcd") {
         std::fprintf(stderr, "unknown trace format '%s' "
                              "(expected json or vcd)\n",
                      trace_format.c_str());
-        return 2;
-    }
-    if (metrics_interval == 0) {
-        std::fprintf(stderr, "--metrics-interval must be positive\n");
         return 2;
     }
     if (!fidelity_arg.empty() && fidelity_arg != "fast" &&
